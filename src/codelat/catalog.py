@@ -188,6 +188,24 @@ class LeechMainCode:
     def num_words(self) -> int:
         return 1 << self.log2_size
 
+    @property
+    def linear(self) -> bool:
+        return True
+
+    def generators(self) -> list[int]:
+        """The 36 basis words, packed as main words (level i at bits 24*(i-1)).
+
+        The all-ones level-1 word paired with an odd level-3 word, the 12
+        Golay generators at level 2 and the 23 even-weight generators
+        e_j + e_{j+1} at level 3.
+        """
+        ones = (1 << 24) - 1
+        return (
+            [ones | (1 << 48)]
+            + [g << 24 for g in self.golay.generator]
+            + [(0b11 << j) << 48 for j in range(23)]
+        )
+
     def contains(self, word) -> bool:
         w = as_word(word, 72).bits
         mask = (1 << 24) - 1

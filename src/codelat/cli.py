@@ -218,7 +218,7 @@ def cmd_check(args) -> int:
             else:
                 continue  # structural test needs a main code
         elif method == "thm5":
-            if not isinstance(obj, MainCode):
+            if not isinstance(obj, (MainCode, catalog.LeechMainCode)):
                 continue
             verdicts[method] = thm5_check(obj).as_json(include_timing)
         elif method == "brute":

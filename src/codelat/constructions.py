@@ -22,6 +22,7 @@ from .gf2 import (
     EnumerationCapError,
     LengthMismatchError,
     as_word,
+    gf2_reduce_basis,
     is_nested,
 )
 
@@ -56,6 +57,18 @@ class MainCode:
 
     def __len__(self) -> int:
         return len(self.inner)
+
+    @property
+    def linear(self) -> bool | None:
+        return self.inner.linear
+
+    def contains(self, word) -> bool:
+        return word in self.inner
+
+    def generators(self) -> list[int]:
+        """A basis of the code: the reduced stored generator, else one read off the words."""
+        gen = self.inner.generator
+        return gf2_reduce_basis(self.inner.words if gen is None else gen)
 
     def level_bits(self, word: int, level: int) -> int:
         """Level word (int-packed) at 1-based ``level`` of a packed main word."""

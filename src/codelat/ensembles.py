@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2 as _chi2
 
 from .constructions import MainCode, construction_c, construction_cstar
 from .gf2 import BinaryCode, enumerate_from_generator, min_hamming_distance
@@ -153,7 +152,9 @@ def _chi_square_uniform(counts: np.ndarray) -> ChiSquareResult:
     expected = total / counts.size
     stat = float(((counts - expected) ** 2 / expected).sum())
     dof = counts.size - 1
-    return ChiSquareResult(stat, dof, float(_chi2.sf(stat, dof)))
+    from scipy.stats import chi2  # lazy: it adds ~1 s to `import codelat`
+
+    return ChiSquareResult(stat, dof, float(chi2.sf(stat, dof)))
 
 
 def _chi_square_independence(table: np.ndarray) -> ChiSquareResult:
@@ -164,7 +165,9 @@ def _chi_square_independence(table: np.ndarray) -> ChiSquareResult:
     mask = expected > 0
     stat = float(((table - expected)[mask] ** 2 / expected[mask]).sum())
     dof = (table.shape[0] - 1) * (table.shape[1] - 1)
-    return ChiSquareResult(stat, dof, float(_chi2.sf(stat, dof)))
+    from scipy.stats import chi2
+
+    return ChiSquareResult(stat, dof, float(chi2.sf(stat, dof)))
 
 
 def condition_checks(

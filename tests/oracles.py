@@ -9,11 +9,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import numpy as np
 
 from codelat.constructions import MainCode, PeriodicConstellation
-from codelat.gf2 import BinaryCode, enumerate_from_generator
+from codelat.gf2 import BinaryCode, BitWord, enumerate_from_generator
+from codelat.latticeness import (
+    DEFAULT_PAIR_BUDGET,
+    INCONCLUSIVE,
+    LATTICE,
+    NOT_LATTICE,
+    LatticenessReport,
+    _carry_row,
+    _check_pair_budget,
+)
 
 
 def oracle_min_distance_squared(constellation: PeriodicConstellation) -> int:
@@ -94,6 +104,35 @@ def random_linear_main_code(
     return MainCode(random_linear_code(rng, nl, k), n, L)
 
 
+def random_lattice_main_code(
+    rng: np.random.Generator, n: int, L: int, gens: int
+) -> MainCode:
+    """Binary digit code of the reps of a random lattice B*Z^n + q*Z^n.
+
+    B has ``gens`` random rows in {0, ..., q-1}^n.  The C* lift of the
+    result is that lattice, but the digit code need not be linear: callers
+    check its ``linear`` flag.
+    """
+    q = 1 << L
+    rows = [tuple(int(x) for x in r) for r in rng.integers(0, q, size=(gens, n))]
+    reps = {tuple([0] * n)}
+    frontier = list(reps)
+    while frontier:
+        grown = []
+        for p in frontier:
+            for r in rows:
+                s = tuple((x + y) % q for x, y in zip(p, r))
+                if s not in reps:
+                    reps.add(s)
+                    grown.append(s)
+        frontier = grown
+    words = [
+        sum(((p[j] >> i) & 1) << (i * n + j) for i in range(L) for j in range(n))
+        for p in reps
+    ]
+    return MainCode(BinaryCode(n * L, words), n, L)
+
+
 def lift_word_to_point(word: int, n: int, L: int) -> tuple[int, ...]:
     """Integer point of a main codeword by direct digit stacking."""
     mask = (1 << n) - 1
@@ -101,3 +140,80 @@ def lift_word_to_point(word: int, n: int, L: int) -> tuple[int, ...]:
     return tuple(
         sum(((levels[i] >> j) & 1) << i for i in range(L)) for j in range(n)
     )
+
+
+def thm5_full_scan(
+    main: MainCode, budget: int = DEFAULT_PAIR_BUDGET
+) -> LatticenessReport:
+    """The carry-set test on every unordered codeword pair, packed in numpy.
+
+    The witness of a not_lattice verdict is the first pair (in canonical
+    word order) whose carry tuple falls outside the code.
+    """
+    t0 = time.perf_counter()
+    if main.inner.linear is not True:
+        raise ValueError("the carry-set test requires a verified-linear main code")
+    _check_pair_budget(main, budget)
+    levels = main.level_arrays()
+    words = main.inner.word_array()  # sorted by construction
+    m = len(main)
+    n, L = main.n, main.L
+    pairs = 0
+    tuples: set[int] = set()
+    for i in range(m):
+        row = _carry_row(levels, i, n, L)
+        pairs += m - i
+        idx = np.searchsorted(words, row)
+        ok = (idx < m) & (words[np.minimum(idx, m - 1)] == row)
+        tuples.update(int(t) for t in np.unique(row))
+        if not ok.all():
+            j = i + int(np.argmin(ok))
+            bad = int(row[j - i])
+            return LatticenessReport(
+                verdict=NOT_LATTICE,
+                method="thm5",
+                witness={
+                    "c": BitWord(main.inner.words[i], n * L).to_tuple(),
+                    "c_tilde": BitWord(main.inner.words[j], n * L).to_tuple(),
+                    "carry_tuple": BitWord(bad, n * L).to_tuple(),
+                },
+                pairs_scanned=pairs,
+                elapsed_ms=(time.perf_counter() - t0) * 1e3,
+            )
+    return LatticenessReport(
+        verdict=LATTICE,
+        method="thm5",
+        pairs_scanned=pairs,
+        elapsed_ms=(time.perf_counter() - t0) * 1e3,
+        detail={"carry_tuples": len(tuples)},
+    )
+
+
+def thm4_all_pairs_oracle(main: MainCode) -> tuple[str, dict]:
+    """Verdict and detail of the antiprojection-chain test from plain sets.
+
+    Projections and zero-antiprojections are read off the split words, and
+    each closure C_{i-1}*C_{i-1} <= S_i(0) is checked on every word pair.
+    """
+    n, L = main.n, main.L
+    split = [main.split(w) for w in main.inner.words]
+    proj = [{parts[i] for parts in split} for i in range(L)]
+    anti = [
+        {parts[i] for parts in split if not any(p for j, p in enumerate(parts) if j != i)}
+        for i in range(L)
+    ]
+    chain: list[dict] = []
+    for i in range(2, L + 1):
+        chain.append({"inclusion": f"C_{i - 1} <= S_{i}(0)", "holds": proj[i - 2] <= anti[i - 1]})
+        chain.append({"inclusion": f"S_{i}(0) <= C_{i}", "holds": anti[i - 1] <= proj[i - 1]})
+    chain.append({"inclusion": f"C_{L} <= F_2^{n}", "holds": len(proj[-1]) <= 1 << n})
+    ok = all(c["holds"] for c in chain)
+    closures: list[dict] = []
+    if ok:
+        for i in range(2, L + 1):
+            good = all(x & y in anti[i - 1] for x in proj[i - 2] for y in proj[i - 2])
+            closures.append(
+                {"closure": f"C_{i - 1}*C_{i - 1} <= S_{i}(0)", "holds": good}
+            )
+            ok = ok and good
+    return (LATTICE if ok else INCONCLUSIVE), {"chain": chain, "closures": closures}

@@ -71,6 +71,14 @@ def test_check_nonlattice_exit_code_zero(capsys):
     assert json.loads(out)["lattice"]["thm5"]["verdict"] == "not_lattice"
 
 
+def test_check_thm5_leech(capsys):
+    code, out, _ = run_cli(capsys, "check", "--lattice", "thm5", "--catalog", "leech")
+    assert code == 0
+    report = json.loads(out)["lattice"]["thm5"]
+    assert report["verdict"] == "lattice"
+    assert report["detail"] == {"dimension": 36}
+
+
 def test_check_spectrum(capsys):
     code, out, _ = run_cli(
         capsys,

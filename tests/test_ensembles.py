@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +22,17 @@ from codelat.ensembles import (
     scaled_point_density,
 )
 from codelat.gf2 import BinaryCode
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run(
+        [sys.executable, "-c", "import codelat, sys; assert 'scipy.stats' not in sys.modules"],
+        env=env,
+        check=True,
+        timeout=60,
+    )
 
 
 def test_sample_main_code_deterministic():

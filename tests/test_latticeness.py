@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,12 @@ from codelat.constructions import (
     construction_cstar,
     product_main_code,
 )
-from codelat.gf2 import BinaryCode, BitWord, enumerate_from_generator
+from codelat.gf2 import BinaryCode, BitWord, enumerate_from_generator, gf2_reduce_basis
 from codelat.latticeness import (
     INCONCLUSIVE,
     LATTICE,
     NOT_LATTICE,
+    BudgetExceededError,
     brute_closure_oracle,
     carry_r_terms,
     carry_set,
@@ -28,7 +31,11 @@ from codelat.latticeness import (
 from oracles import (
     lift_word_to_point,
     oracle_is_lattice,
+    random_linear_code,
+    random_lattice_main_code,
     random_linear_main_code,
+    thm4_all_pairs_oracle,
+    thm5_full_scan,
 )
 
 
@@ -108,6 +115,20 @@ def test_carry_terms_symmetric():
         c = int(rng.integers(0, 1 << nl, dtype=np.uint64))
         d = int(rng.integers(0, 1 << nl, dtype=np.uint64))
         assert carry_terms(c, d, n, L) == carry_terms(d, c, n, L)
+    # the first eight words of the worked examples and of random main codes
+    mains = [
+        catalog.worked_example(ex)
+        for ex in ("ex4", "ex5", "ex7", "ex9", "ex10", "ex13", "ex13-swapped")
+    ]
+    mains += [
+        random_linear_main_code(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        for _ in range(50)
+    ]
+    for main in mains:
+        sample = main.inner.words[:8]
+        for c in sample:
+            for d in sample:
+                assert carry_terms(c, d, main.n, main.L) == carry_terms(d, c, main.n, main.L)
 
 
 def test_carry_r_terms_decompose_the_carry():
@@ -155,18 +176,10 @@ def test_carry_set_of_closed_product_chain_stays_inside():
 
 def test_thm5_examples():
     assert thm5_check(catalog.worked_example("ex9")).verdict == LATTICE
-    report = thm5_check(catalog.worked_example("ex4"))
-    assert report.verdict == NOT_LATTICE
-    # witness re-validates: recompute the carry tuple and check exclusion
     main = catalog.worked_example("ex4")
-    c = BitWord.from_bits(report.witness["c"])
-    d = BitWord.from_bits(report.witness["c_tilde"])
-    record = carry_terms(c, d, main.n, main.L)
-    packed = 0
-    for k, s in enumerate(record.s):
-        packed |= s.bits << ((k + 1) * main.n)
-    assert BitWord.from_bits(report.witness["carry_tuple"]).bits == packed
-    assert packed not in main.inner._word_set
+    report = thm5_check(main)
+    assert report.verdict == NOT_LATTICE
+    _assert_thm5_witness(main, report)
 
 
 def test_thm5_requires_linear():
@@ -175,19 +188,94 @@ def test_thm5_requires_linear():
         thm5_check(nonlinear)
 
 
+def _low_weight_pair_bound(k: int, L: int) -> int:
+    return sum(math.comb(2 * k, w) for w in range(L + 1))
+
+
+def _assert_thm5_witness(main, report):
+    c = BitWord.from_bits(report.witness["c"])
+    d = BitWord.from_bits(report.witness["c_tilde"])
+    assert c in main.inner and d in main.inner
+    record = carry_terms(c, d, main.n, main.L)
+    packed = sum(s.bits << ((i + 1) * main.n) for i, s in enumerate(record.s))
+    assert BitWord.from_bits(report.witness["carry_tuple"]).bits == packed
+    assert packed not in main.inner
+
+
 def test_thm5_agrees_with_brute_oracle():
+    # the low-weight scan against the full pair scan and the brute oracle
     rng = np.random.default_rng(41)
-    for _ in range(400):
-        main = random_linear_main_code(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-        v_struct = thm5_check(main).verdict
-        v_brute = brute_closure_oracle(construction_cstar(main)).verdict
-        assert v_struct == v_brute
+    counts = {LATTICE: 0, NOT_LATTICE: 0}
+    for _ in range(1000):
+        n, L = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        k = int(rng.integers(0, min(n * L, 9) + 1))
+        main = random_linear_main_code(rng, n, L, k)
+        report = thm5_check(main)
+        assert report.verdict == thm5_full_scan(main).verdict
+        assert report.verdict == brute_closure_oracle(construction_cstar(main)).verdict
+        assert report.pairs_scanned <= _low_weight_pair_bound(main.inner.rank(), L)
+        if report.verdict == NOT_LATTICE:
+            _assert_thm5_witness(main, report)
+        counts[report.verdict] += 1
+    assert min(counts.values()) >= 200
+
+
+def test_thm5_low_weight_scan_on_lattice_digit_codes_and_perturbations():
+    # random linear codes of high dimension are rarely lattices; digit codes
+    # of random lattices are, and one extra generator word mostly breaks them
+    rng = np.random.default_rng(67)
+    counts = {LATTICE: 0, NOT_LATTICE: 0}
+    for trial in range(200):
+        n, L = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        main = random_lattice_main_code(rng, n, L, int(rng.integers(1, n + 1)))
+        if main.linear is not True:
+            continue
+        if trial % 2:
+            extra = int(rng.integers(0, 1 << (n * L)))
+            code = enumerate_from_generator(main.generators() + [extra], n=n * L)
+            main = MainCode(code, n, L)
+        report = thm5_check(main)
+        assert report.verdict == thm5_full_scan(main).verdict
+        assert trial % 2 or report.verdict == LATTICE
+        if report.verdict == NOT_LATTICE:
+            _assert_thm5_witness(main, report)
+        counts[report.verdict] += 1
+    assert min(counts.values()) >= 30
+
+
+def test_thm5_budget_bounds_the_low_weight_pairs():
+    main = product_main_code([enumerate_from_generator([1, 2, 4], n=3)] * 3)
+    bound = _low_weight_pair_bound(9, 3)
+    assert thm5_check(main, budget=bound).verdict == LATTICE
+    with pytest.raises(BudgetExceededError):
+        thm5_check(main, budget=bound - 1)
+
+
+def test_thm5_leech_main_code():
+    leech = catalog.leech_main_code()
+    gens = leech.generators()
+    assert len(gens) == 36 and len(gf2_reduce_basis(gens)) == 36
+    assert all(leech.contains(g) for g in gens)
+    report = thm5_check(leech)
+    assert report.verdict == LATTICE and report.detail == {"dimension": 36}
+    assert report.pairs_scanned <= _low_weight_pair_bound(36, 3)
+
+
+def test_thm5_rejects_leech_variant_with_random_level_two():
+    rng = np.random.default_rng(71)
+    variant = catalog.LeechMainCode(golay=random_linear_code(rng, 24, 12))
+    report = thm5_check(variant)
+    assert report.verdict == NOT_LATTICE
+    c, d, t = (
+        BitWord.from_bits(report.witness[key]).bits for key in ("c", "c_tilde", "carry_tuple")
+    )
+    assert variant.contains(c) and variant.contains(d) and not variant.contains(t)
+    record = carry_terms(c, d, 24, 3)
+    assert t == sum(s.bits << ((i + 1) * 24) for i, s in enumerate(record.s))
 
 
 def test_thm5_matches_thm1_on_product_codes():
     rng = np.random.default_rng(43)
-    from oracles import random_linear_code
-
     for _ in range(80):
         n = int(rng.integers(1, 4))
         L = int(rng.integers(1, 4))
@@ -240,6 +328,29 @@ def test_thm4_inconclusive_on_non_nested_product():
     b = BinaryCode.from_words(["00", "01"])
     main = product_main_code([a, b])
     assert thm4_check(main).verdict == INCONCLUSIVE
+
+
+def test_thm4_matches_all_pairs_closure_oracle():
+    rng = np.random.default_rng(73)
+    closures = {True: 0, False: 0}
+    for trial in range(300):
+        n, L = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        if trial % 2:
+            main = random_linear_main_code(rng, n, L)
+        else:
+            # nested product chains pass the inclusions and reach the closures
+            n = int(rng.integers(3, 6))
+            codes = [random_linear_code(rng, n, int(rng.integers(2, n)))]
+            for _ in range(L - 1):
+                extra = random_linear_code(rng, n, int(rng.integers(0, 2)))
+                codes.append(enumerate_from_generator(codes[-1].words + extra.words, n=n))
+            main = product_main_code(codes)
+        report = thm4_check(main)
+        verdict, detail = thm4_all_pairs_oracle(main)
+        assert report.verdict == verdict and report.detail == detail
+        for c in detail["closures"]:
+            closures[c["holds"]] += 1
+    assert min(closures.values()) >= 20
 
 
 def test_thm4_lattice_implies_thm5_lattice():
