@@ -23,14 +23,12 @@ from .constructions import (
     construction_c,
     construction_cstar,
     construction_d,
-    membership,
     product_main_code,
     projection_codes,
 )
 from .latticeness import (
     LatticenessReport,
     brute_closure_oracle,
-    carry_set,
     carry_terms,
     thm1_check,
     thm4_check,

@@ -55,23 +55,6 @@ def golay24() -> BinaryCode:
     return code
 
 
-def golay_syndrome(word) -> int:
-    """Syndrome H*c with H = (B | I); zero exactly on Golay codewords."""
-    w = as_word(word, 24).bits
-    b = golay_b_matrix()
-    low = w & 0xFFF
-    high = (w >> 12) & 0xFFF
-    syndrome = 0
-    for r in range(12):
-        acc = 0
-        for j in range(12):
-            if b[r][j]:
-                acc ^= (low >> j) & 1
-        acc ^= (high >> r) & 1
-        syndrome |= acc << r
-    return syndrome
-
-
 def repetition_code(n: int) -> BinaryCode:
     return enumerate_from_generator([(1 << n) - 1], n=n)
 
@@ -143,7 +126,7 @@ def worked_example(example_id: str):
     if ex == "ex13-swapped":
         base = worked_example("ex13")
         swapped = []
-        for w in base.inner.words:
+        for w in base.inner.words.tolist():
             c1, c2 = base.split(w)
             swapped.append(base.join((c2, c1)))
         return MainCode(BinaryCode(base.inner.n, swapped), base.n, base.L)
@@ -214,7 +197,7 @@ class LeechMainCode:
         c3 = (w >> 48) & mask
         if c1 not in (0, mask):
             return False
-        if c2 not in self.golay._word_set:
+        if c2 not in self.golay:
             return False
         want_odd = c1 == mask
         return (c3.bit_count() & 1) == (1 if want_odd else 0)
@@ -222,9 +205,10 @@ class LeechMainCode:
     def prefixes(self) -> Iterator[tuple[tuple[int, int], int]]:
         """All 8192 ((c1, c2), parity of c3) prefixes of the code."""
         ones = (1 << 24) - 1
-        for word in self.golay.words:
+        words = self.golay.words.tolist()
+        for word in words:
             yield (0, word), 0
-        for word in self.golay.words:
+        for word in words:
             yield (ones, word), 1
 
     def antiprojection_zero(self, level: int) -> BinaryCode:
@@ -286,7 +270,3 @@ class LeechMainCode:
 def leech_main_code() -> LeechMainCode:
     return LeechMainCode(golay=golay24())
 
-
-def leech_prefix_stream() -> Iterator[tuple[tuple[int, int], int]]:
-    """Prefixes of the Leech main code for the structured distance solver."""
-    return leech_main_code().prefixes()

@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=int(os.environ.get("CODELAT_THREADS", "1")),
-        help="worker cap for pair scans (default: CODELAT_THREADS or 1)",
+        help="worker cap for the Leech Schur-parity scan (default: CODELAT_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

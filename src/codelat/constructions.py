@@ -10,7 +10,8 @@ expanded over an integer basis, always a lattice).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,13 +69,7 @@ class MainCode:
     def generators(self) -> list[int]:
         """A basis of the code: the reduced stored generator, else one read off the words."""
         gen = self.inner.generator
-        return gf2_reduce_basis(self.inner.words if gen is None else gen)
-
-    def level_bits(self, word: int, level: int) -> int:
-        """Level word (int-packed) at 1-based ``level`` of a packed main word."""
-        if not 1 <= level <= self.L:
-            raise ValueError(f"level {level} outside 1..{self.L}")
-        return (word >> ((level - 1) * self.n)) & ((1 << self.n) - 1)
+        return gf2_reduce_basis(self.inner.words.tolist() if gen is None else gen)
 
     def split(self, word: int) -> tuple[int, ...]:
         mask = (1 << self.n) - 1
@@ -88,13 +83,11 @@ class MainCode:
             word |= lv << (i * self.n)
         return word
 
-    def level_arrays(self) -> list[np.ndarray]:
-        """Per-level uint64 arrays of all codewords, in canonical word order."""
-        if self.n > 63:
-            raise ValueError("packed level arrays support n <= 63")
-        packed = np.array(self.inner.words, dtype=np.uint64)
-        mask = np.uint64((1 << self.n) - 1)
-        return [(packed >> np.uint64(i * self.n)) & mask for i in range(self.L)]
+    def levels(self) -> np.ndarray:
+        """(L, |C|) uint64 array: row i holds the level-(i+1) word of each
+        codeword, in canonical word order."""
+        shifts = np.arange(self.L, dtype=np.uint64)[:, None] * np.uint64(self.n)
+        return (self.inner.words >> shifts) & np.uint64((1 << self.n) - 1)
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,6 @@ class PeriodicConstellation:
     q: int
     reps: tuple[tuple[int, ...], ...]
     source: str = "custom"
-    _rep_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.L < 1 or self.L > MAX_LEVELS:
@@ -135,7 +127,6 @@ class PeriodicConstellation:
             if any(not 0 <= c < self.q for c in r):
                 raise ValueError(f"representative {r} outside [0, {self.q})")
         object.__setattr__(self, "reps", reps)
-        object.__setattr__(self, "_rep_set", frozenset(reps))
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -143,10 +134,15 @@ class PeriodicConstellation:
     def rep_array(self) -> np.ndarray:
         return np.array(self.reps, dtype=np.int64)
 
+    def has_rep(self, rep: tuple[int, ...]) -> bool:
+        """True iff ``rep`` is one of the sorted representatives (no reduction)."""
+        i = bisect_left(self.reps, rep)
+        return i < len(self.reps) and self.reps[i] == rep
+
     def contains(self, point: Sequence[int]) -> bool:
         if len(point) != self.n:
             raise ValueError(f"point has dimension {len(point)}, expected {self.n}")
-        return tuple(int(c) % self.q for c in point) in self._rep_set
+        return self.has_rep(tuple(int(c) % self.q for c in point))
 
     def to_json(self) -> dict:
         return {
@@ -168,28 +164,23 @@ class PeriodicConstellation:
         )
 
 
-def membership(constellation: PeriodicConstellation, point: Sequence[int]) -> bool:
-    """True iff the integer point lies in reps + q*Z^n."""
-    return constellation.contains(point)
-
-
-def _bit_matrix(words: Sequence[int], n: int) -> np.ndarray:
-    arr = np.array(words, dtype=np.uint64)
-    return ((arr[:, None] >> np.arange(n, dtype=np.uint64)[None, :]) & 1).astype(
+def _bit_matrix(words, n: int) -> np.ndarray:
+    """(len(words), n) int32 0/1 matrix of int-packed words, coordinate j in column j."""
+    arr = np.asarray(words, dtype=np.uint64)
+    return ((arr[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(
         np.int32
     )
 
 
 def _unique_rep_tuples(points: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    uniq = np.unique(points, axis=0)
-    return tuple(tuple(int(c) for c in row) for row in uniq)
+    return tuple(map(tuple, np.unique(points, axis=0).tolist()))
 
 
 def construction_a(code: BinaryCode) -> PeriodicConstellation:
     """One-level lift: code + 2*Z^n."""
     if not len(code):
         raise ValueError("cannot lift an empty code")
-    reps = tuple(BitWord(w, code.n).to_tuple() for w in code.words)
+    reps = tuple(map(tuple, _bit_matrix(code.words, code.n).tolist()))
     return PeriodicConstellation(n=code.n, L=1, q=2, reps=reps, source="A")
 
 
@@ -236,9 +227,8 @@ def construction_cstar(
             "use the structured operations for codes of this scale",
             size,
         )
-    levels = main.level_arrays()
     acc = np.zeros((size, main.n), dtype=np.int32)
-    for i, lv in enumerate(levels):
+    for i, lv in enumerate(main.levels()):
         acc += _bit_matrix(lv, main.n) << i
     reps = _unique_rep_tuples(acc)
     if len(reps) != size:
@@ -261,7 +251,7 @@ def _greedy_chain_basis(codes: Sequence[BinaryCode]) -> tuple[list[int], list[in
     reduced: list[int] = []
     ks: list[int] = []
     for code in codes:
-        for w in code.words:
+        for w in code.words.tolist():
             cur = w
             for b in reduced:
                 cur = min(cur, cur ^ b)
@@ -305,7 +295,7 @@ def construction_d(
         )
 
     q = 1 << L
-    basis_rows = _bit_matrix(basis, n) if basis else np.zeros((0, n), dtype=np.int32)
+    basis_rows = _bit_matrix(basis, n)
     # Per-level integer spans of the first k_i basis vectors, grown
     # incrementally; duplicates are collapsed only at the very end.
     level_span = np.zeros((1, n), dtype=np.int32)
@@ -329,14 +319,10 @@ def construction_d(
 
 def projection_codes(main: MainCode) -> list[BinaryCode]:
     """The L length-n codes of level words appearing in the main code."""
-    level_sets: list[set[int]] = [set() for _ in range(main.L)]
-    for w in main.inner.words:
-        for i, lv in enumerate(main.split(w)):
-            level_sets[i].add(lv)
     linear = True if main.inner.linear else None
     return [
-        BinaryCode(main.n, sorted(s), linear=linear if s else False)
-        for s in level_sets
+        BinaryCode(main.n, lv, linear=linear if len(lv) else False)
+        for lv in main.levels()
     ]
 
 
@@ -353,18 +339,17 @@ def antiprojection(
     if len(fixed) != main.L - 1:
         raise ValueError(f"expected {main.L - 1} fixed level words, got {len(fixed)}")
     fixed_ints = [as_word(f, main.n).bits for f in fixed]
-    template = list(fixed_ints)
-    template.insert(level - 1, None)
-    hits = set()
-    for w in main.inner.words:
-        parts = main.split(w)
-        if all(t is None or t == p for t, p in zip(template, parts)):
-            hits.add(parts[level - 1])
+    levels = main.levels()
+    others = [i for i in range(main.L) if i != level - 1]
+    keep = np.ones(len(main), dtype=bool)
+    for i, f in zip(others, fixed_ints):
+        keep &= levels[i] == np.uint64(f)
+    hits = levels[level - 1][keep]
     zero_fixed = all(f == 0 for f in fixed_ints)
-    linear = True if (main.inner.linear and zero_fixed and hits) else None
-    if not hits:
+    linear = True if (main.inner.linear and zero_fixed and hits.size) else None
+    if not hits.size:
         linear = False
-    return BinaryCode(main.n, sorted(hits), linear=linear)
+    return BinaryCode(main.n, hits, linear=linear)
 
 
 def associated_construction_c(
@@ -391,10 +376,10 @@ def product_main_code(
         raise EnumerationCapError(
             f"product main code has {total} words, above {cap}", total
         )
-    words = [0]
+    words = np.zeros(1, dtype=np.uint64)
     for i, code in enumerate(codes):
-        shift = i * n
-        words = [w | (lv << shift) for w in words for lv in code.words]
+        shifted = code.words << np.uint64(i * n)
+        words = (words[:, None] | shifted[None, :]).ravel()
     linear = True if all(c.linear for c in codes) else None
     inner = BinaryCode(n * L, words, linear=linear)
     return MainCode(inner, n, L)

@@ -20,6 +20,7 @@ import numpy as np
 from .constructions import (
     MainCode,
     PeriodicConstellation,
+    _bit_matrix,
     antiprojection,
     construction_cstar,
 )
@@ -135,33 +136,21 @@ def mcounts(word, n: int, L: int) -> MCounts:
     return MCounts(m=tuple(counts), n=n, L=L)
 
 
-def _rep_digit_levels(rep: Sequence[int], L: int) -> list[int]:
-    return [[(c >> i) & 1 for c in rep] for i in range(L)]
-
-
 def dmin_to_zero(obj: PeriodicConstellation | MainCode) -> int:
     """Squared distance from zero to the nearest other constellation point.
 
     Evaluated as min(q^2, min over nonzero reps of the centered-residue
-    norm); the equivalent top-digit form ||2^(L-1) c_L - sum 2^(i-1) c_i||^2
-    is computed alongside and asserted equal.
+    norm), which equals the top-digit form ||2^(L-1) c_L - sum 2^(i-1) c_i||^2.
     """
     constellation = (
         construction_cstar(obj) if isinstance(obj, MainCode) else obj
     )
-    q, L = constellation.q, constellation.L
-    half = q // 2
+    q = constellation.q
     best = q * q
     for rep in constellation.reps:
         if all(c == 0 for c in rep):
             continue
-        centered = sum(min(c * c, (q - c) * (q - c)) for c in rep)
-        top_form = sum(
-            (c - q if c >= half else -c) ** 2 for c in rep
-        )
-        if centered != top_form:
-            raise AssertionError("centered and top-digit distance forms must agree")
-        best = min(best, centered)
+        best = min(best, sum(min(c * c, (q - c) * (q - c)) for c in rep))
     return best
 
 
@@ -192,12 +181,10 @@ def dmin_to_zero_structured(
     def flush(batch: list[tuple[Sequence[int], int]]) -> int:
         nonlocal best
         parities = np.array([p for _, p in batch], dtype=np.int64)
+        levels = np.array([lv for lv, _ in batch], dtype=np.uint64)
         t = np.zeros((len(batch), n), dtype=np.int64)
-        for row, (levels, _) in enumerate(batch):
-            for i, lv in enumerate(levels):
-                t[row] += ((np.asarray(
-                    [(lv >> j) & 1 for j in range(n)], dtype=np.int64
-                )) << i)
+        for i in range(levels.shape[1]):
+            t += _bit_matrix(levels[:, i], n) << i
         cost0 = t * t
         cost1 = (half - t) ** 2
         base = np.minimum(cost0, cost1).sum(axis=1)
@@ -309,7 +296,7 @@ def distance_spectrum(
     if constellation.n > 16:
         raise ValueError("spectrum enumeration budget supports n <= 16")
     rep_t = tuple(int(c) for c in rep)
-    if rep_t not in constellation._rep_set:
+    if not constellation.has_rep(rep_t):
         raise ValueError(f"{rep_t} is not a representative of the constellation")
     q = constellation.q
     r2 = int(radius * radius + 1e-9)

@@ -1,16 +1,18 @@
 """Binary-word and linear-code algebra over GF(2).
 
-Words are fixed-length bit vectors stored as Python ints (bit ``j`` is
-coordinate ``j``), which keeps Schur products, XOR and popcounts cheap even
-for the 24-bit scans this library runs millions of times.  Codes are
-deduplicated, canonically sorted word sets with an optional generator matrix
-(columns are basis words) and a tri-state linearity flag: ``True`` /
-``False`` when verified, ``None`` when the set was too large to verify and
-no generator was supplied.
+Words are fixed-length bit vectors packed into integers (bit ``j`` is
+coordinate ``j``).  A single word is a ``BitWord`` over a Python int of any
+length.  A code of length n <= 64 stores its words once, as a sorted,
+deduplicated, read-only ``np.uint64`` array, so membership is a binary
+search and weights, XORs and Schur products run over the whole array.
+Codes carry an optional generator matrix (columns are basis words) and a
+tri-state linearity flag: ``True`` / ``False`` when verified, ``None`` when
+the set was too large to verify and no generator was supplied.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -18,6 +20,7 @@ import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 1 << 26
 LINEARITY_VERIFY_LIMIT = 1 << 12
+MAX_CODE_LENGTH = 64  # one np.uint64 per codeword
 
 
 class LengthMismatchError(ValueError):
@@ -48,6 +51,7 @@ class BitWord:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "bits", operator.index(self.bits))  # numpy ints too
         if self.n < 1:
             raise ValueError(f"word length must be >= 1, got {self.n}")
         if not 0 <= self.bits < (1 << self.n):
@@ -114,7 +118,7 @@ def as_word(value, n: int | None = None) -> BitWord:
     """Coerce an int, bit sequence, string or BitWord into a BitWord."""
     if isinstance(value, BitWord):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, np.integer)):
         if n is None:
             raise ValueError("length required when coercing an int to a word")
         return BitWord(value, n)
@@ -139,19 +143,6 @@ def schur_product(x: BitWord, y: BitWord) -> BitWord:
     return BitWord(x.bits & y.bits, x.n)
 
 
-def carry_identity_check(x: BitWord, y: BitWord) -> bool:
-    """Self-test of the integer split x + y = (x XOR y) + 2*(x AND y).
-
-    Checked coordinatewise with plain integer arithmetic; must hold for
-    every pair of equal-length words.
-    """
-    _check_same_length(x, y)
-    for j in range(x.n):
-        if x[j] + y[j] != (x[j] ^ y[j]) + 2 * (x[j] & y[j]):
-            return False
-    return True
-
-
 def gf2_reduce_basis(vectors: Iterable[int]) -> list[int]:
     """Extract a row-reduced independent basis from int-packed vectors."""
     basis: list[int] = []  # kept with strictly decreasing leading bits
@@ -170,15 +161,17 @@ def gf2_rank(vectors: Iterable[int]) -> int:
 
 
 class BinaryCode:
-    """A deduplicated set of equal-length binary words.
+    """A deduplicated set of equal-length binary words, n <= 64.
 
+    ``words`` is the sorted, read-only ``np.uint64`` array of the codewords;
+    convert with ``.tolist()`` before Python-level loops or JSON.
     ``linear`` is True when linearity is verified (explicit sets are checked
     via the rank argument: a set containing zero is linear iff its size is
     exactly 2**rank), False when verified non-linear, and None when the set
     was too large to verify and no generator was given.
     """
 
-    __slots__ = ("n", "words", "generator", "linear", "_word_set")
+    __slots__ = ("n", "words", "generator", "linear")
 
     def __init__(
         self,
@@ -187,30 +180,34 @@ class BinaryCode:
         generator: tuple[int, ...] | None = None,
         linear: bool | None = None,
     ):
-        if n < 1:
-            raise ValueError(f"code length must be >= 1, got {n}")
-        ws = sorted(set(int(w) for w in words))
-        if ws and not (0 <= ws[0] and ws[-1] < (1 << n)):
+        if not 1 <= n <= MAX_CODE_LENGTH:
+            raise ValueError(f"code length must be in 1..{MAX_CODE_LENGTH}, got {n}")
+        try:
+            arr = np.array(
+                words if isinstance(words, np.ndarray) else list(words), dtype=np.uint64
+            )
+        except OverflowError:
+            raise ValueError(f"word out of range for length {n}") from None
+        if not (arr[1:] > arr[:-1]).all():
+            arr = np.unique(arr)
+        if arr.size and arr[-1] > np.uint64((1 << n) - 1):
             raise ValueError(f"word out of range for length {n}")
+        arr.flags.writeable = False
         self.n = n
-        self.words = tuple(ws)
+        self.words = arr
         self.generator = generator
-        self._word_set = frozenset(ws)
         if linear is None:
             linear = self._verify_linearity()
         self.linear = linear
 
     def _verify_linearity(self) -> bool | None:
-        if not self.words:
-            return False
-        if 0 not in self._word_set:
+        if not len(self) or self.words[0] != 0:
             return False
         if self.generator is not None:
             return True
-        if len(self.words) > LINEARITY_VERIFY_LIMIT:
+        if len(self) > LINEARITY_VERIFY_LIMIT:
             return None  # too large to verify, flagged unverified
-        rank = gf2_rank(self.words)
-        return len(self.words) == (1 << rank)
+        return len(self) == (1 << self.rank())
 
     @classmethod
     def from_words(cls, words: Iterable, n: int | None = None) -> "BinaryCode":
@@ -226,49 +223,62 @@ class BinaryCode:
             raise ValueError("cannot infer word length from an empty word list")
         return cls(n, ints)
 
+    @property
+    def _word_set(self) -> "BinaryCode":
+        """Read-only alias of the code itself, for ``x in code._word_set``."""
+        return self
+
     def __len__(self) -> int:
         return len(self.words)
+
+    def member_mask(self, probes) -> np.ndarray:
+        """Which of the ``probes`` (cast to ``np.uint64``) are codewords.
+
+        The cast comes first: searching with Python ints may promote the
+        array to float64, which is slow and wrong above 2^53.
+        """
+        probes = np.asarray(probes, dtype=np.uint64)
+        if not len(self):
+            return np.zeros(probes.shape, dtype=bool)
+        idx = np.minimum(self.words.searchsorted(probes), len(self) - 1)
+        return self.words[idx] == probes
 
     def __contains__(self, word) -> bool:
         if isinstance(word, BitWord):
             if word.n != self.n:
                 return False
-            return word.bits in self._word_set
-        return word in self._word_set
+            word = word.bits
+        word = int(word)
+        return 0 <= word < (1 << self.n) and bool(self.member_mask(word))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BinaryCode)
             and self.n == other.n
-            and self.words == other.words
+            and np.array_equal(self.words, other.words)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.words))
+        return hash((self.n, self.words.tobytes()))
 
     def __repr__(self) -> str:
-        return f"BinaryCode(n={self.n}, size={len(self.words)}, linear={self.linear})"
+        return f"BinaryCode(n={self.n}, size={len(self)}, linear={self.linear})"
 
     def bitwords(self) -> Iterator[BitWord]:
-        return (BitWord(w, self.n) for w in self.words)
-
-    def word_array(self) -> np.ndarray:
-        if self.n > 63:
-            raise ValueError("packed arrays support word length <= 63")
-        return np.array(self.words, dtype=np.uint64)
+        return (BitWord(w, self.n) for w in self.words.tolist())
 
     def rank(self) -> int:
-        return gf2_rank(self.words)
+        return gf2_rank(self.words.tolist())
 
     def contains_nonzero(self) -> bool:
-        return any(w != 0 for w in self.words)
+        return bool(self.words.any())
 
     def min_nonzero_weight(self) -> int:
         """Smallest weight among nonzero words; code must contain one."""
-        wts = [w.bit_count() for w in self.words if w]
-        if not wts:
+        weights = np.bitwise_count(self.words[self.words != 0])
+        if not weights.size:
             raise ValueError("code has no nonzero word")
-        return min(wts)
+        return int(weights.min())
 
 
 def enumerate_from_generator(
@@ -307,9 +317,16 @@ def enumerate_from_generator(
             f"generator spans 2^{len(basis)} = {size} words, above the cap {cap}",
             size,
         )
-    words = [0]
-    for b in basis:
-        words += [w ^ b for w in words]
+    # Fully reduce the basis, leading bits ascending: no basis word then has
+    # another's leading bit set, so XOR doubling emits the span in sorted order.
+    reduced: list[int] = []
+    for b in reversed(basis):
+        for r in reduced:
+            b = min(b, b ^ r)
+        reduced.append(b)
+    words = np.zeros(size, dtype=np.uint64)
+    for j, b in enumerate(reduced):
+        np.bitwise_xor(words[: 1 << j], np.uint64(b), out=words[1 << j : 2 << j])
     return BinaryCode(n, words, generator=tuple(cols), linear=True)
 
 
@@ -323,27 +340,15 @@ def min_hamming_distance(code: BinaryCode) -> int:
         raise ValueError("minimum distance needs at least two codewords")
     if code.linear:
         return code.min_nonzero_weight()
-    if code.n <= 63:
-        arr = code.word_array()
-        best = code.n + 1
-        for i in range(len(arr) - 1):
-            d = int(np.bitwise_count(arr[i] ^ arr[i + 1 :]).min())
-            if d < best:
-                best = d
-        return best
-    words = code.words
-    return min(
-        (words[i] ^ words[j]).bit_count()
-        for i in range(len(words))
-        for j in range(i + 1, len(words))
-    )
+    arr = code.words
+    return min(int(np.bitwise_count(arr[i] ^ arr[i + 1 :]).min()) for i in range(len(arr) - 1))
 
 
 def is_nested(inner: BinaryCode, outer: BinaryCode) -> bool:
     """True iff every word of ``inner`` is a word of ``outer``."""
     if inner.n != outer.n:
         raise LengthMismatchError(f"code lengths differ: {inner.n} vs {outer.n}")
-    return all(w in outer._word_set for w in inner.words)
+    return bool(outer.member_mask(inner.words).all())
 
 
 def schur_closed_chain(
@@ -358,13 +363,12 @@ def schur_closed_chain(
         cur, nxt = codes[i], codes[i + 1]
         if cur.n != nxt.n:
             raise LengthMismatchError(f"code lengths differ: {cur.n} vs {nxt.n}")
-        nxt_set = nxt._word_set
         ws = cur.words
         for a in range(len(ws)):
-            wa = ws[a]
-            for b in range(a, len(ws)):
-                if (wa & ws[b]) not in nxt_set:
-                    return False, (i + 1, BitWord(wa, cur.n), BitWord(ws[b], cur.n))
+            ok = nxt.member_mask(ws[a] & ws[a:])
+            if not ok.all():
+                b = a + int(np.argmin(ok))
+                return False, (i + 1, BitWord(ws[a], cur.n), BitWord(ws[b], cur.n))
     return True, None
 
 
@@ -387,8 +391,10 @@ def parse_code_text(text: str, cap: int = DEFAULT_ENUMERATION_CAP) -> BinaryCode
         n = int(head[0])
     except ValueError:
         raise CodeFileError(f"bad length {head[0]!r}", head_line) from None
-    if n < 1:
-        raise CodeFileError(f"length must be positive, got {n}", head_line)
+    if not 1 <= n <= MAX_CODE_LENGTH:
+        raise CodeFileError(
+            f"length must be in 1..{MAX_CODE_LENGTH}, got {n}", head_line
+        )
 
     rows: list[int] = []
     for line_no, toks in payload[1:]:
@@ -427,7 +433,7 @@ def format_code_file(code: BinaryCode, explicit: bool = True) -> str:
         rows = code.generator
     else:
         out.append(f"{code.n} *")
-        rows = code.words
+        rows = code.words.tolist()
     for w in rows:
         out.append(" ".join(str((w >> j) & 1) for j in range(code.n)))
     return "\n".join(out) + "\n"

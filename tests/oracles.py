@@ -13,16 +13,22 @@ import time
 
 import numpy as np
 
+from codelat.catalog import golay_b_matrix
 from codelat.constructions import MainCode, PeriodicConstellation
-from codelat.gf2 import BinaryCode, BitWord, enumerate_from_generator
+from codelat.gf2 import (
+    BinaryCode,
+    BitWord,
+    LengthMismatchError,
+    as_word,
+    enumerate_from_generator,
+)
 from codelat.latticeness import (
     DEFAULT_PAIR_BUDGET,
     INCONCLUSIVE,
     LATTICE,
     NOT_LATTICE,
+    BudgetExceededError,
     LatticenessReport,
-    _carry_row,
-    _check_pair_budget,
 )
 
 
@@ -86,6 +92,120 @@ def oracle_pairwise_min_hamming(words: list[int]) -> int:
         for i in range(len(words))
         for j in range(i + 1, len(words))
     )
+
+
+def oracle_split(word: int, n: int, L: int) -> tuple[int, ...]:
+    mask = (1 << n) - 1
+    return tuple((word >> (i * n)) & mask for i in range(L))
+
+
+def oracle_projection_sets(words: list[int], n: int, L: int) -> list[set[int]]:
+    """Level-i word sets of a main code, from a plain loop over its words."""
+    return [{oracle_split(w, n, L)[i] for w in words} for i in range(L)]
+
+
+def oracle_antiprojection_set(
+    words: list[int], n: int, L: int, level: int, fixed: list[int]
+) -> set[int]:
+    """Level words whose main word matches ``fixed`` at every other level."""
+    hits = set()
+    for w in words:
+        parts = list(oracle_split(w, n, L))
+        hit = parts.pop(level - 1)
+        if parts == fixed:
+            hits.add(hit)
+    return hits
+
+
+def oracle_product_words(level_words: list[list[int]], n: int) -> set[int]:
+    """Main words of the Cartesian product of the level word lists."""
+    return {
+        sum(w << (i * n) for i, w in enumerate(combo))
+        for combo in itertools.product(*level_words)
+    }
+
+
+def carry_identity_check(x: BitWord, y: BitWord) -> bool:
+    """Self-test of the integer split x + y = (x XOR y) + 2*(x AND y).
+
+    Checked coordinatewise with plain integer arithmetic; must hold for
+    every pair of equal-length words.
+    """
+    if x.n != y.n:
+        raise LengthMismatchError(f"word lengths differ: {x.n} vs {y.n}")
+    return all(x[j] + y[j] == (x[j] ^ y[j]) + 2 * (x[j] & y[j]) for j in range(x.n))
+
+
+def golay_syndrome(word) -> int:
+    """Syndrome H*c with H = (B | I); zero exactly on Golay codewords."""
+    w = as_word(word, 24).bits
+    b = golay_b_matrix()
+    low = w & 0xFFF
+    high = (w >> 12) & 0xFFF
+    syndrome = 0
+    for r in range(12):
+        acc = 0
+        for j in range(12):
+            if b[r][j]:
+                acc ^= (low >> j) & 1
+        acc ^= (high >> r) & 1
+        syndrome |= acc << r
+    return syndrome
+
+
+def carry_r_terms(c: int, c_tilde: int, n: int, L: int, level: int) -> list[BitWord]:
+    """The product decomposition of the level carry: s_i = (c_i*d_i) XOR r terms.
+
+    r_i^(1) = (c_i XOR d_i) * (c_{i-1} * d_{i-1}) and each deeper term ANDs
+    in one more level's XOR: r_i^(j) = (c_i XOR d_i) * r_{i-1}^(j-1).
+    """
+    if not 1 <= level <= L:
+        raise ValueError(f"level {level} outside 1..{L}")
+    cl = oracle_split(c, n, L)
+    dl = oracle_split(c_tilde, n, L)
+    terms: list[int] = []
+    for i in range(1, level):
+        xor_i = cl[i] ^ dl[i]
+        terms = [xor_i & (cl[i - 1] & dl[i - 1])] + [xor_i & t for t in terms]
+    return [BitWord(t, n) for t in terms]
+
+
+def _carry_row(levels: np.ndarray, i: int, n: int, L: int) -> np.ndarray:
+    """Packed carry tuples (0, s_1, ..., s_{L-1}) of word i against words i..m-1.
+
+    The carry formula is symmetric in the pair, so scanning the upper
+    triangle including the diagonal covers all ordered pairs.
+    """
+    m = levels.shape[1]
+    carry = np.zeros(m - i, dtype=np.uint64)
+    packed = np.zeros(m - i, dtype=np.uint64)
+    for lv in range(L - 1):
+        a = levels[lv][i]
+        b = levels[lv][i:]
+        carry = (a & b) ^ ((a ^ b) & carry)
+        packed |= carry << np.uint64((lv + 1) * n)
+    return packed
+
+
+def _check_pair_budget(main: MainCode, budget: int) -> None:
+    m = len(main)
+    if m * m > budget:
+        raise BudgetExceededError(f"{m}^2 pairs exceed the scan budget {budget}")
+
+
+def carry_set(main: MainCode, budget: int = DEFAULT_PAIR_BUDGET) -> frozenset[BitWord]:
+    """All words (0, s_1, ..., s_{L-1}) over ordered codeword pairs."""
+    _check_pair_budget(main, budget)
+    levels = main.levels()
+    tuples: set[int] = set()
+    for i in range(len(main)):
+        tuples.update(np.unique(_carry_row(levels, i, main.n, main.L)).tolist())
+    return frozenset(BitWord(t, main.inner.n) for t in tuples)
+
+
+def random_words(rng: np.random.Generator, count: int, n: int) -> list[int]:
+    """``count`` uniform n-bit words as Python ints (repeats possible), n <= 64."""
+    return [int(x) for x in rng.integers(0, 1 << n, size=count, dtype=np.uint64)]
 
 
 def random_linear_code(rng: np.random.Generator, n: int, k: int) -> BinaryCode:
@@ -154,8 +274,8 @@ def thm5_full_scan(
     if main.inner.linear is not True:
         raise ValueError("the carry-set test requires a verified-linear main code")
     _check_pair_budget(main, budget)
-    levels = main.level_arrays()
-    words = main.inner.word_array()  # sorted by construction
+    levels = main.levels()
+    words = main.inner.words  # sorted by construction
     m = len(main)
     n, L = main.n, main.L
     pairs = 0
@@ -165,7 +285,7 @@ def thm5_full_scan(
         pairs += m - i
         idx = np.searchsorted(words, row)
         ok = (idx < m) & (words[np.minimum(idx, m - 1)] == row)
-        tuples.update(int(t) for t in np.unique(row))
+        tuples.update(np.unique(row).tolist())
         if not ok.all():
             j = i + int(np.argmin(ok))
             bad = int(row[j - i])
@@ -173,8 +293,8 @@ def thm5_full_scan(
                 verdict=NOT_LATTICE,
                 method="thm5",
                 witness={
-                    "c": BitWord(main.inner.words[i], n * L).to_tuple(),
-                    "c_tilde": BitWord(main.inner.words[j], n * L).to_tuple(),
+                    "c": BitWord(int(words[i]), n * L).to_tuple(),
+                    "c_tilde": BitWord(int(words[j]), n * L).to_tuple(),
                     "carry_tuple": BitWord(bad, n * L).to_tuple(),
                 },
                 pairs_scanned=pairs,
@@ -196,7 +316,7 @@ def thm4_all_pairs_oracle(main: MainCode) -> tuple[str, dict]:
     each closure C_{i-1}*C_{i-1} <= S_i(0) is checked on every word pair.
     """
     n, L = main.n, main.L
-    split = [main.split(w) for w in main.inner.words]
+    split = [main.split(w) for w in main.inner.words.tolist()]
     proj = [{parts[i] for parts in split} for i in range(L)]
     anti = [
         {parts[i] for parts in split if not any(p for j, p in enumerate(parts) if j != i)}

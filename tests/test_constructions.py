@@ -13,12 +13,20 @@ from codelat.constructions import (
     construction_c,
     construction_cstar,
     construction_d,
-    membership,
     product_main_code,
     projection_codes,
 )
 from codelat.gf2 import BinaryCode, BitWord, EnumerationCapError, enumerate_from_generator
-from oracles import lift_word_to_point, random_linear_code, random_linear_main_code
+from oracles import (
+    lift_word_to_point,
+    oracle_antiprojection_set,
+    oracle_product_words,
+    oracle_projection_sets,
+    oracle_split,
+    random_linear_code,
+    random_linear_main_code,
+    random_words,
+)
 
 
 def test_construction_a_examples():
@@ -57,7 +65,7 @@ def test_construction_cstar_worked_examples():
 def test_cstar_reps_match_direct_lift():
     main = catalog.worked_example("ex9")
     P = construction_cstar(main)
-    expected = {lift_word_to_point(w, main.n, main.L) for w in main.inner.words}
+    expected = {lift_word_to_point(w, main.n, main.L) for w in main.inner.words.tolist()}
     assert set(P.reps) == expected
 
 
@@ -132,14 +140,14 @@ def test_construction_d_basis_independent():
         outer = enumerate_from_generator(outer_cols, n=n)
         base = construction_d([inner, outer])
         # same chain, but built from explicit word lists in reversed order
-        inner2 = BinaryCode(n, list(reversed(inner.words)))
-        outer2 = BinaryCode(n, list(reversed(outer.words)))
+        inner2 = BinaryCode(n, inner.words[::-1])
+        outer2 = BinaryCode(n, outer.words[::-1])
         assert construction_d([inner2, outer2]).reps == base.reps
 
 
 def test_projection_codes_examples():
     c1, c2 = projection_codes(catalog.worked_example("ex4"))
-    assert set(c1.words) == {0b00, 0b01} and len(c2) == 4
+    assert c1.words.tolist() == [0b00, 0b01] and len(c2) == 4
     c1, _, _ = projection_codes(catalog.worked_example("ex9"))
     assert sorted(w.to_tuple() for w in c1.bitwords()) == [(0, 0), (1, 0)]
 
@@ -183,12 +191,12 @@ def test_associated_construction_c_examples():
 
 def test_membership_examples():
     P = construction_cstar(catalog.worked_example("ex4"))
-    assert membership(P, (5, 6))
-    assert not membership(P, (1, 1))
-    assert membership(P, (0, 0))
-    assert membership(P, (-4, 4))
+    assert P.contains((5, 6))
+    assert not P.contains((1, 1))
+    assert P.contains((0, 0))
+    assert P.contains((-4, 4))
     with pytest.raises(ValueError):
-        membership(P, (1, 2, 3))
+        P.contains((1, 2, 3))
 
 
 def test_constellation_json_roundtrip():
@@ -201,3 +209,28 @@ def test_enumeration_cap_paths():
     big = MainCode(BinaryCode(16, range(16), linear=None), 8, 2)
     with pytest.raises(EnumerationCapError):
         construction_cstar(big, cap=4)
+
+
+def test_level_operations_match_set_oracles():
+    # projections, antiprojections and products of packed main codes up to
+    # n*L = 64 bits against plain loops over Python ints
+    rng = np.random.default_rng(137)
+    for trial in range(200):
+        L = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 64 // L + 1))
+        if trial % 2:
+            main = random_linear_main_code(rng, n, L, int(rng.integers(0, 7)))
+        else:
+            main = MainCode(BinaryCode(n * L, random_words(rng, int(rng.integers(1, 41)), n * L)), n, L)
+        words = main.inner.words.tolist()
+        expected = oracle_projection_sets(words, n, L)
+        assert [c.words.tolist() for c in projection_codes(main)] == [sorted(s) for s in expected]
+        level = int(rng.integers(1, L + 1))
+        parts = list(oracle_split(words[int(rng.integers(0, len(words)))], n, L))
+        del parts[level - 1]
+        for fixed in (parts, random_words(rng, L - 1, n)):
+            got = antiprojection(main, level, fixed).words.tolist()
+            assert got == sorted(oracle_antiprojection_set(words, n, L, level, fixed))
+        levels = [random_words(rng, int(rng.integers(1, 4)), n) for _ in range(L)]
+        product = product_main_code([BinaryCode(n, lv) for lv in levels])
+        assert product.inner.words.tolist() == sorted(oracle_product_words(levels, n))

@@ -39,14 +39,14 @@ def test_sample_main_code_deterministic():
     cfg = EnsembleConfig(n=2, L=2, rate=0.5, seed=99)
     a = sample_main_code(cfg)
     b = sample_main_code(cfg)
-    assert a.inner.words == b.inner.words
+    assert a.inner.words.tolist() == b.inner.words.tolist()
 
 
 def test_sample_main_code_sizes():
     cfg = EnsembleConfig(n=2, L=2, rate=0.5, seed=1)
     main = sample_main_code(cfg)
     assert len(main) == 4 and main.inner.n == 4
-    assert len(set(main.inner.words)) == 4
+    assert len(set(main.inner.words.tolist())) == 4
 
 
 def test_sample_linear_mode_rank_reported_by_size():

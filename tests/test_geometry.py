@@ -118,6 +118,31 @@ def test_dmin_to_zero_examples():
     assert dmin_to_zero(zero_main) == 16
 
 
+def _top_digit_norms(P: PeriodicConstellation) -> list[int]:
+    """Top-digit norm ||2^(L-1) c_L - sum 2^(i-1) c_i||^2 of each nonzero rep."""
+    half = P.q // 2
+    return [
+        sum((c - P.q if c >= half else -c) ** 2 for c in rep)
+        for rep in P.reps
+        if any(rep)
+    ]
+
+
+def test_dmin_to_zero_equals_top_digit_form():
+    lifts = [
+        construction_cstar(catalog.worked_example(ex))
+        for ex in ("ex4", "ex5", "ex9", "ex10", "ex13", "ex13-swapped")
+    ]
+    lifts += [construction_c(catalog.worked_example(ex)) for ex in ("ex1", "ex2")]
+    rng = np.random.default_rng(139)
+    lifts += [
+        construction_cstar(random_linear_main_code(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4))))
+        for _ in range(60)
+    ]
+    for P in lifts:
+        assert dmin_to_zero(P) == min(_top_digit_norms(P) + [P.q * P.q])
+
+
 def test_dmin_to_zero_leech_structured():
     leech = catalog.leech_main_code()
     assert dmin_to_zero_structured(leech.prefixes(), n=24, L=3) == 32
@@ -147,16 +172,18 @@ def test_structured_solver_matches_enumeration():
         words = []
         parity_bit = int(rng.integers(0, 2))
         even = catalog.even_parity_code(n)
-        for pw in prefix_code.words:
+        for pw in prefix_code.words.tolist():
             mask = (1 << n) - 1
             levels = tuple((pw >> (i * n)) & mask for i in range(L - 1))
             parity = (sum(((pw >> j) & 1) for j in range(n)) + parity_bit) % 2
             prefixes.append((levels, parity))
-            for last in even.words:
+            for last in even.words.tolist():
                 lifted = last if parity == 0 else last ^ 1  # flip one bit for odd
                 words.append(pw | (lifted << ((L - 1) * n)))
         main = MainCode(BinaryCode(n * L, words, linear=None), n, L)
-        expected = dmin_to_zero(construction_cstar(main))
+        P = construction_cstar(main)
+        expected = dmin_to_zero(P)
+        assert expected == min(_top_digit_norms(P) + [P.q * P.q])
         got = dmin_to_zero_structured(prefixes, n=n, L=L)
         assert got == expected
 
@@ -184,6 +211,7 @@ def test_distance_chain_on_2level_instances():
         mid = dmin_to_zero(P)
         hi = dmin_upper_bound_antiprojection(main)
         assert lo <= mid <= hi
+        assert mid == min(_top_digit_norms(P) + [P.q * P.q])
 
 
 def test_cstar_dmin_at_least_associated():

@@ -11,7 +11,6 @@ from codelat.gf2 import (
     CodeFileError,
     EnumerationCapError,
     LengthMismatchError,
-    carry_identity_check,
     enumerate_from_generator,
     format_code_file,
     hamming_distance,
@@ -22,7 +21,12 @@ from codelat.gf2 import (
     schur_closed_chain,
     schur_product,
 )
-from oracles import oracle_pairwise_min_hamming, random_linear_code
+from oracles import (
+    carry_identity_check,
+    oracle_pairwise_min_hamming,
+    random_linear_code,
+    random_words,
+)
 
 W = BitWord.from_string
 
@@ -128,7 +132,7 @@ def test_min_distance_matches_pair_scan_oracle():
         if len(code) < 2:
             continue
         assert min_hamming_distance(code) == oracle_pairwise_min_hamming(
-            list(code.words)
+            code.words.tolist()
         )
 
 
@@ -136,7 +140,7 @@ def test_min_distance_nonlinear_pair_scan():
     code = BinaryCode(4, [0b0001, 0b0111, 0b1110])
     assert code.linear is False
     assert min_hamming_distance(code) == oracle_pairwise_min_hamming(
-        list(code.words)
+        code.words.tolist()
     )
 
 
@@ -211,3 +215,62 @@ def test_code_file_parse_errors_carry_line_numbers():
 def test_comments_and_blank_lines_ignored():
     parsed = parse_code_text("# header\n2 *\n\n0 0  # zero\n1 1\n")
     assert parsed == BinaryCode(2, [0, 3])
+
+
+def test_64_bit_code():
+    ones = (1 << 64) - 1
+    rep64 = enumerate_from_generator([ones], n=64)
+    assert ones in rep64 and BitWord(ones, 64) in rep64 and 0 in rep64
+    assert ones - 1 not in rep64 and 1 << 64 not in rep64
+    assert min_hamming_distance(rep64) == 64 and rep64.min_nonzero_weight() == 64
+    outer = BinaryCode(64, [0, 1 << 63, ones, 1])
+    assert is_nested(rep64, outer) and not is_nested(outer, rep64)
+    assert outer.words.tolist() == [0, 1, 1 << 63, ones]
+    assert min_hamming_distance(outer) == 1
+    assert parse_code_text(format_code_file(outer)) == outer
+
+
+def test_code_length_limit():
+    with pytest.raises(ValueError):
+        BinaryCode(65, [0])
+    with pytest.raises(CodeFileError) as err:
+        parse_code_text("# wide\n65 *\n" + " ".join("0" * 65) + "\n")
+    assert err.value.line == 2
+    assert parse_code_text("64 1\n" + " ".join("1" * 64) + "\n").n == 64
+
+
+def test_lookup_above_2_53():
+    # 2^60 and 2^60 + 1 round to the same float64, so a float lookup errs
+    code = BinaryCode(61, [(1 << 60) + 1, (1 << 60) + 3])
+    assert (1 << 60) + 1 in code and (1 << 60) + 3 in code
+    assert 1 << 60 not in code and (1 << 60) + 2 not in code
+    probes = [1 << 60, (1 << 60) + 1, (1 << 60) + 2, (1 << 60) + 3]
+    assert code.member_mask(probes).tolist() == [False, True, False, True]
+    assert not is_nested(BinaryCode(61, [1 << 60]), code)
+
+
+def test_word_store_matches_set_oracle():
+    # membership, nesting and distance on the packed array against Python sets
+    rng = np.random.default_rng(131)
+    for trial in range(200):
+        n = int(rng.integers(1, 65))
+        if trial % 2:
+            code = random_linear_code(rng, n, int(rng.integers(0, min(n, 6) + 1)))
+        else:
+            code = BinaryCode(n, random_words(rng, int(rng.integers(1, 41)), n))
+        words = code.words.tolist()
+        ref = set(words)
+        assert words == sorted(ref) and len(code) == len(ref)
+        probes = words + [w ^ 1 for w in words] + random_words(rng, 20, n)
+        for p in probes:
+            assert (p in code) == (p in ref)
+            assert (BitWord(p, n) in code) == (p in ref)
+        assert code.member_mask(probes).tolist() == [p in ref for p in probes]
+        assert (1 << n) not in code and -1 not in code
+        sub = BinaryCode(n, [w for w in words if rng.integers(0, 2)] or [words[0]])
+        other = BinaryCode(n, random_words(rng, 5, n) + words[:3])
+        assert is_nested(sub, code)
+        assert is_nested(other, code) == (set(other.words.tolist()) <= ref)
+        assert is_nested(code, other) == (ref <= set(other.words.tolist()))
+        if len(code) >= 2:
+            assert min_hamming_distance(code) == oracle_pairwise_min_hamming(words)

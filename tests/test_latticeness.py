@@ -9,6 +9,7 @@ from codelat.constructions import (
     construction_a,
     construction_c,
     construction_cstar,
+    construction_d,
     product_main_code,
 )
 from codelat.gf2 import BinaryCode, BitWord, enumerate_from_generator, gf2_reduce_basis
@@ -18,8 +19,6 @@ from codelat.latticeness import (
     NOT_LATTICE,
     BudgetExceededError,
     brute_closure_oracle,
-    carry_r_terms,
-    carry_set,
     carry_terms,
     reconstruct_sum,
     schur_parity_scan,
@@ -29,6 +28,8 @@ from codelat.latticeness import (
     thm5_check,
 )
 from oracles import (
+    carry_r_terms,
+    carry_set,
     lift_word_to_point,
     oracle_is_lattice,
     random_linear_code,
@@ -79,10 +80,18 @@ def test_thm1_rejects_unverified_linear():
         thm1_check([nonlinear])
 
 
-def test_thm1_asserts_rep_equality_with_d():
-    codes, _ = catalog.dn_plus(4)
-    report = thm1_check(list(codes))
-    assert report.detail["construction_d_reps_equal"] is True
+def test_thm1_lattice_chains_have_equal_c_and_d_reps():
+    # a Schur-closed nested chain lifts to the same reps under C and D
+    chains = [list(catalog.dn_plus(n)[0]) for n in range(2, 10)]
+    chains.append([enumerate_from_generator([0b11], n=2)])
+    lattices = 0
+    for codes in chains:
+        report = thm1_check(codes)
+        assert "detail" not in report.as_json()
+        if report.verdict == LATTICE:
+            lattices += 1
+            assert construction_c(codes).reps == construction_d(codes).reps
+    assert lattices == 5
 
 
 def test_carry_terms_zero_and_single_level():
@@ -125,7 +134,7 @@ def test_carry_terms_symmetric():
         for _ in range(50)
     ]
     for main in mains:
-        sample = main.inner.words[:8]
+        sample = main.inner.words[:8].tolist()
         for c in sample:
             for d in sample:
                 assert carry_terms(c, d, main.n, main.L) == carry_terms(d, c, main.n, main.L)
@@ -171,7 +180,7 @@ def test_carry_set_of_closed_product_chain_stays_inside():
     codes, _ = catalog.dn_plus(4)
     main = product_main_code(list(codes))
     S = carry_set(main)
-    assert all(w.bits in main.inner._word_set for w in S)
+    assert all(w in main.inner for w in S)
 
 
 def test_thm5_examples():
@@ -281,7 +290,10 @@ def test_thm5_matches_thm1_on_product_codes():
         L = int(rng.integers(1, 4))
         codes = [random_linear_code(rng, n, int(rng.integers(0, n + 1))) for _ in range(L)]
         main = product_main_code(codes)
-        assert thm5_check(main).verdict == thm1_check(codes, compare_with_d=False).verdict
+        verdict = thm1_check(codes).verdict
+        assert thm5_check(main).verdict == verdict
+        if verdict == LATTICE:
+            assert construction_c(codes).reps == construction_d(codes).reps
 
 
 def test_lattice_verdict_implies_negation_closure():
@@ -343,7 +355,8 @@ def test_thm4_matches_all_pairs_closure_oracle():
             codes = [random_linear_code(rng, n, int(rng.integers(2, n)))]
             for _ in range(L - 1):
                 extra = random_linear_code(rng, n, int(rng.integers(0, 2)))
-                codes.append(enumerate_from_generator(codes[-1].words + extra.words, n=n))
+                cols = codes[-1].words.tolist() + extra.words.tolist()
+                codes.append(enumerate_from_generator(cols, n=n))
             main = product_main_code(codes)
         report = thm4_check(main)
         verdict, detail = thm4_all_pairs_oracle(main)
