@@ -10,6 +10,7 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -194,6 +195,7 @@ def cmd_check(args) -> int:
     obj = _resolve_input(args)
     report: dict = {}
     include_timing = args.timings
+    lift = functools.cache(lambda: _as_constellation(obj, args.kind, args.cap))
 
     lattice_methods = []
     if args.lattice:
@@ -222,16 +224,13 @@ def cmd_check(args) -> int:
                 continue
             verdicts[method] = thm5_check(obj).as_json(include_timing)
         elif method == "brute":
-            constellation = _as_constellation(obj, args.kind, args.cap)
-            verdicts[method] = brute_closure_oracle(constellation).as_json(
-                include_timing
-            )
+            verdicts[method] = brute_closure_oracle(lift()).as_json(include_timing)
     if verdicts:
         report["lattice"] = verdicts
 
     needs_constellation = args.eds or args.equimin or args.spectrum is not None
     if needs_constellation:
-        constellation = _as_constellation(obj, args.kind, args.cap)
+        constellation = lift()
         if args.eds:
             ok, witness = eds_check(constellation, args.radius)
             report["eds"] = {"holds": ok, "witness": witness}

@@ -28,6 +28,7 @@ from .gf2 import (
 )
 
 MAX_LEVELS = 15  # keeps every coordinate value within 16 bits
+KEY_BITS = 64  # rep_keys packs a point into one uint64
 
 
 @dataclass(frozen=True)
@@ -118,15 +119,22 @@ class PeriodicConstellation:
             raise ValueError(f"level count {self.L} outside 1..{MAX_LEVELS}")
         if self.q != (1 << self.L):
             raise ValueError(f"period {self.q} != 2^{self.L}")
-        if not self.reps:
+        if self.n < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        if len(self.reps) == 0:
             raise ValueError("constellation needs at least one representative")
-        reps = tuple(sorted(tuple(int(c) for c in r) for r in self.reps))
-        for r in reps:
-            if len(r) != self.n:
-                raise ValueError(f"representative {r} is not {self.n}-dimensional")
-            if any(not 0 <= c < self.q for c in r):
-                raise ValueError(f"representative {r} outside [0, {self.q})")
-        object.__setattr__(self, "reps", reps)
+        arr = np.array(self.reps)  # ragged rows raise ValueError
+        if arr.ndim != 2 or arr.shape[1] != self.n:
+            raise ValueError(f"representatives are not all {self.n}-dimensional")
+        outside = ((arr < 0) | (arr >= self.q)).any(axis=1)
+        if outside.any():
+            raise ValueError(f"representative {arr[outside][0].tolist()} outside [0, {self.q})")
+        arr = arr.astype(np.int64)[np.lexsort(arr.T[::-1])]
+        repeated = (arr[1:] == arr[:-1]).all(axis=1)
+        if repeated.any():
+            raise ValueError(f"representative {arr[1:][repeated][0].tolist()} is repeated")
+        coords = iter(arr.ravel().tolist())  # rows as tuples, no per-row lists
+        object.__setattr__(self, "reps", tuple(zip(*[coords] * self.n)))
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -159,9 +167,27 @@ class PeriodicConstellation:
             n=int(obj["n"]),
             L=int(obj["L"]),
             q=int(obj["q"]),
-            reps=tuple(tuple(int(c) for c in r) for r in obj["reps"]),
+            reps=obj["reps"],
             source=str(obj.get("source", "custom")),
         )
+
+
+def rep_keys(columns: Iterable[np.ndarray], q: int) -> np.ndarray:
+    """Base-q uint64 keys of points given as broadcastable columns in [0, q).
+
+    Column 0 is most significant, so keys sort like the points.  Exact while
+    q^n <= 2^64; a wider point raises ValueError.  Columns are cast first,
+    since int64 mixed with uint64 promotes to float64.
+    """
+    bits = int(q).bit_length() - 1
+    key = np.uint64(0)
+    for j, col in enumerate(columns):
+        if (j + 1) * bits > KEY_BITS:
+            raise ValueError(
+                f"base-{q} keys of more than {j} coordinates pass q^n = 2^{KEY_BITS}"
+            )
+        key = (key << np.uint64(bits)) | np.asarray(col).astype(np.uint64)
+    return np.asarray(key)
 
 
 def _bit_matrix(words, n: int) -> np.ndarray:
@@ -172,15 +198,11 @@ def _bit_matrix(words, n: int) -> np.ndarray:
     )
 
 
-def _unique_rep_tuples(points: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, np.unique(points, axis=0).tolist()))
-
-
 def construction_a(code: BinaryCode) -> PeriodicConstellation:
     """One-level lift: code + 2*Z^n."""
     if not len(code):
         raise ValueError("cannot lift an empty code")
-    reps = tuple(map(tuple, _bit_matrix(code.words, code.n).tolist()))
+    reps = _bit_matrix(code.words, code.n)
     return PeriodicConstellation(n=code.n, L=1, q=2, reps=reps, source="A")
 
 
@@ -208,10 +230,8 @@ def construction_c(
     for i, code in enumerate(codes):
         bits = _bit_matrix(code.words, n) << i
         acc = (acc[:, None, :] + bits[None, :, :]).reshape(-1, n)
-    reps = _unique_rep_tuples(acc)
-    if len(reps) != total:
-        raise AssertionError("binary digit stacking must be injective")
-    return PeriodicConstellation(n=n, L=L, q=1 << L, reps=reps, source="C")
+    # digit stacking is injective; the constellation rejects a repeated rep
+    return PeriodicConstellation(n=n, L=L, q=1 << L, reps=acc, source="C")
 
 
 def construction_cstar(
@@ -230,12 +250,7 @@ def construction_cstar(
     acc = np.zeros((size, main.n), dtype=np.int32)
     for i, lv in enumerate(main.levels()):
         acc += _bit_matrix(lv, main.n) << i
-    reps = _unique_rep_tuples(acc)
-    if len(reps) != size:
-        raise AssertionError("binary digit stacking must be injective")
-    return PeriodicConstellation(
-        n=main.n, L=main.L, q=main.q, reps=reps, source="Cstar"
-    )
+    return PeriodicConstellation(n=main.n, L=main.L, q=main.q, reps=acc, source="Cstar")
 
 
 def _greedy_chain_basis(codes: Sequence[BinaryCode]) -> tuple[list[int], list[int]]:
@@ -313,7 +328,7 @@ def construction_d(
         acc = (acc[:, None, :] + (span.astype(np.int64) << i)[None, :, :]).reshape(
             -1, n
         )
-    reps = _unique_rep_tuples(np.mod(acc, q))
+    reps = np.unique(np.mod(acc, q), axis=0)
     return PeriodicConstellation(n=n, L=L, q=q, reps=reps, source="D")
 
 

@@ -23,10 +23,11 @@ from .constructions import (
     _bit_matrix,
     antiprojection,
     construction_cstar,
+    rep_keys,
 )
 from .gf2 import BinaryCode, BitWord, as_word
 
-_BLOCK = 4096
+_BLOCK = 1024  # a block x block int64 scan temporary is 8 MiB
 
 
 @dataclass(frozen=True)
@@ -76,29 +77,40 @@ def centered_residue(value: int, q: int) -> int:
     return r if r <= q // 2 else r - q
 
 
-def _centered_sq(diff: np.ndarray, q: int) -> np.ndarray:
-    r = np.mod(diff, q)
-    r = np.where(r > q // 2, r - q, r)
-    return r * r
+def _nearest_sq(constellation: PeriodicConstellation) -> np.ndarray:
+    """Each rep's squared distance to its nearest other point, capped at q^2.
+
+    Walks the upper triangle of the rep pairs in _BLOCK x _BLOCK blocks,
+    adding one coordinate's centered square min(r, q - r)^2, with
+    r = (a_j - b_j) mod q, at a time, so memory stays at a few block-sized
+    arrays.  The accumulator is int64: n * (q/2)^2 passes 2^31 at q = 2^15.
+    """
+    q, n = constellation.q, constellation.n
+    reps = constellation.rep_array().astype(np.int32)
+    m = len(reps)
+    nearest = np.full(m, q * q, dtype=np.int64)
+    for i in range(0, m, _BLOCK):
+        a = reps[i : i + _BLOCK]
+        for j in range(i, m, _BLOCK):
+            b = reps[j : j + _BLOCK]
+            d2 = np.zeros((len(a), len(b)), dtype=np.int64)
+            for col in range(n):
+                r = np.subtract.outer(a[:, col], b[:, col])
+                r &= q - 1
+                np.minimum(r, q - r, out=r)
+                r *= r
+                d2 += r
+            if i == j:
+                np.fill_diagonal(d2, q * q)
+            rows, cols = nearest[i : i + len(a)], nearest[j : j + len(b)]
+            np.minimum(rows, d2.min(axis=1), out=rows)
+            np.minimum(cols, d2.min(axis=0), out=cols)
+    return nearest
 
 
 def dmin_oracle(constellation: PeriodicConstellation) -> int:
     """Exact squared minimum distance by blocked pair scan plus the q^2 translate."""
-    q = constellation.q
-    best = q * q
-    reps = constellation.rep_array()
-    m = len(reps)
-    for i in range(0, m, _BLOCK):
-        block = reps[i : i + _BLOCK]
-        for j in range(i, m, _BLOCK):
-            other = reps[j : j + _BLOCK]
-            d2 = _centered_sq(block[:, None, :] - other[None, :, :], q).sum(axis=2)
-            if i == j:
-                np.fill_diagonal(d2, best)
-            val = int(d2.min()) if d2.size else best
-            if val < best:
-                best = val
-    return best
+    return int(_nearest_sq(constellation).min())
 
 
 def dmin_formula_c(codes: Sequence[BinaryCode]) -> int:
@@ -142,16 +154,11 @@ def dmin_to_zero(obj: PeriodicConstellation | MainCode) -> int:
     Evaluated as min(q^2, min over nonzero reps of the centered-residue
     norm), which equals the top-digit form ||2^(L-1) c_L - sum 2^(i-1) c_i||^2.
     """
-    constellation = (
-        construction_cstar(obj) if isinstance(obj, MainCode) else obj
-    )
+    constellation = construction_cstar(obj) if isinstance(obj, MainCode) else obj
     q = constellation.q
-    best = q * q
-    for rep in constellation.reps:
-        if all(c == 0 for c in rep):
-            continue
-        best = min(best, sum(min(c * c, (q - c) * (q - c)) for c in rep))
-    return best
+    reps = constellation.rep_array()
+    norms = (np.minimum(reps, q - reps) ** 2).sum(axis=1)
+    return int(np.where(reps.any(axis=1), norms, q * q).min())
 
 
 def dmin_to_zero_structured(
@@ -255,35 +262,33 @@ def _residue_spectrum(residue: tuple[int, ...], q: int, r2: int) -> np.ndarray:
     acc = np.zeros(r2 + 1, dtype=np.int64)
     acc[0] = 1
     for r in residue:
-        poly = np.array(_coordinate_poly(r, q, r2), dtype=np.int64)
-        acc = np.convolve(acc, poly)[: r2 + 1]
+        acc = np.convolve(acc, _coordinate_poly(r, q, r2))[: r2 + 1]
     return acc
 
 
-def _all_rep_spectra(
-    constellation: PeriodicConstellation, r2: int
-) -> np.ndarray:
-    """Row r = summed spectra from rep r to every rep's translate class."""
+def _spectra(constellation: PeriodicConstellation, rows: np.ndarray, r2: int) -> np.ndarray:
+    """Row k: distance-squared counts up to r2 from rows[k] to every point.
+
+    ``rows`` are reps; each one's own zero-distance point is not counted.
+    Each row block holds about _BLOCK^2 base-q keys of the differences
+    (rep - row) mod q, folded one coordinate at a time; each distinct key of
+    a block is expanded once into its residue spectrum.
+    """
     q, n = constellation.q, constellation.n
     reps = constellation.rep_array()
-    m = len(reps)
-    weights = q ** np.arange(n, dtype=np.int64)
-    code_rows = np.empty((m, m), dtype=np.int64)
-    for i in range(0, m, _BLOCK):
-        block = reps[i : i + _BLOCK]
-        diffs = np.mod(reps[None, :, :] - block[:, None, :], q)
-        code_rows[i : i + _BLOCK] = diffs @ weights
-    uniq, inverse = np.unique(code_rows, return_inverse=True)
-    inverse = inverse.reshape(m, m)
-    table = np.zeros((len(uniq), r2 + 1), dtype=np.int64)
-    for idx, ucode in enumerate(uniq):
-        residue = tuple(int(ucode // q**j % q) for j in range(n))
-        table[idx] = _residue_spectrum(residue, q, r2)
-    counts = np.zeros((m, len(uniq)), dtype=np.int64)
-    for i in range(m):
-        counts[i] = np.bincount(inverse[i], minlength=len(uniq))
-    spectra = counts @ table
-    spectra[:, 0] -= 1  # drop each rep's own zero-distance point
+    step = max(1, _BLOCK * _BLOCK // len(reps))
+    shifts = np.uint64(constellation.L) * np.arange(n - 1, -1, -1, dtype=np.uint64)
+    spectra = np.empty((len(rows), r2 + 1), dtype=np.int64)
+    for i in range(0, len(rows), step):
+        block = rows[i : i + step]
+        keys = rep_keys(((reps[:, j] - block[:, j, None]) & (q - 1) for j in range(n)), q)
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        residues = (uniq[:, None] >> shifts) & np.uint64(q - 1)
+        table = np.array([_residue_spectrum(r, q, r2) for r in residues.tolist()])
+        flat = inverse.reshape(keys.shape) + len(uniq) * np.arange(len(block))[:, None]
+        counts = np.bincount(flat.ravel(), minlength=len(block) * len(uniq))
+        spectra[i : i + step] = counts.reshape(len(block), len(uniq)) @ table
+    spectra[:, 0] -= 1
     return spectra
 
 
@@ -298,13 +303,8 @@ def distance_spectrum(
     rep_t = tuple(int(c) for c in rep)
     if not constellation.has_rep(rep_t):
         raise ValueError(f"{rep_t} is not a representative of the constellation")
-    q = constellation.q
     r2 = int(radius * radius + 1e-9)
-    acc = np.zeros(r2 + 1, dtype=np.int64)
-    for other in constellation.reps:
-        residue = tuple((o - r) % q for o, r in zip(other, rep_t))
-        acc += _residue_spectrum(residue, q, r2)
-    acc[0] -= 1
+    acc = _spectra(constellation, np.array([rep_t], dtype=np.int64), r2)[0]
     entries = {int(d2): int(c) for d2, c in enumerate(acc) if c and d2 > 0}
     return DistanceSpectrum(rep=rep_t, radius=float(radius), entries=entries)
 
@@ -321,7 +321,7 @@ def eds_check(
     if radius is None:
         radius = 2 * constellation.q
     r2 = int(radius * radius + 1e-9)
-    spectra = _all_rep_spectra(constellation, r2)
+    spectra = _spectra(constellation, constellation.rep_array(), r2)
     if (spectra == spectra[0]).all():
         return True, None
     differing = np.nonzero((spectra != spectra[0]).any(axis=0))[0]
@@ -342,18 +342,8 @@ def equi_min_distance_check(
     constellation: PeriodicConstellation,
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Whether every representative sees a neighbor at the global minimum."""
-    q = constellation.q
-    reps = constellation.rep_array()
-    m = len(reps)
-    per_rep = np.full(m, q * q, dtype=np.int64)
-    for i in range(0, m, _BLOCK):
-        block = reps[i : i + _BLOCK]
-        d2 = _centered_sq(block[:, None, :] - reps[None, :, :], q).sum(axis=2)
-        rows = np.arange(i, min(i + _BLOCK, m))
-        d2[rows - i, rows] = q * q
-        per_rep[rows] = np.minimum(per_rep[rows], d2.min(axis=1))
-    global_min = int(per_rep.min())
-    bad = np.nonzero(per_rep != global_min)[0]
+    per_rep = _nearest_sq(constellation)
+    bad = np.nonzero(per_rep != per_rep.min())[0]
     if len(bad) == 0:
         return True, None
     return False, constellation.reps[int(bad[0])]

@@ -18,11 +18,13 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .constructions import (
+    KEY_BITS,
     CarryRecord,
     MainCode,
     PeriodicConstellation,
     projection_codes,
     antiprojection,
+    rep_keys,
 )
 from .gf2 import (
     BinaryCode,
@@ -67,12 +69,6 @@ class LatticenessReport:
         }
 
 
-def _encode_reps(reps: np.ndarray, q: int) -> np.ndarray:
-    n = reps.shape[1]
-    weights = (q ** np.arange(n, dtype=np.int64)).astype(np.int64)
-    return reps @ weights
-
-
 def brute_closure_oracle(
     constellation: PeriodicConstellation, budget: int = DEFAULT_PAIR_BUDGET
 ) -> LatticenessReport:
@@ -98,22 +94,17 @@ def brute_closure_oracle(
             pairs_scanned=0,
             elapsed_ms=(time.perf_counter() - t0) * 1e3,
         )
-    use_codes = n * np.log2(q) <= 62
-    codes = np.sort(_encode_reps(reps, q)) if use_codes else None
+    # keys of the sorted reps come out sorted
+    keys = rep_keys(reps.T, q) if n * constellation.L <= KEY_BITS else None
     pairs = 0
     for i in range(m):
         diffs = np.mod(reps[i][None, :] - reps, q)
         pairs += m
-        if use_codes:
-            dcodes = _encode_reps(diffs, q)
-            idx = np.searchsorted(codes, dcodes)
-            ok = (idx < m) & (codes[np.minimum(idx, m - 1)] == dcodes)
+        if keys is None:
+            ok = np.array([constellation.has_rep(tuple(r)) for r in diffs.tolist()], dtype=bool)
         else:
-            ok = np.fromiter(
-                (constellation.has_rep(tuple(row)) for row in diffs.tolist()),
-                dtype=bool,
-                count=m,
-            )
+            dkeys = rep_keys(diffs.T, q)
+            ok = keys[np.minimum(np.searchsorted(keys, dkeys), m - 1)] == dkeys
         if not ok.all():
             j = int(np.argmin(ok))
             return LatticenessReport(

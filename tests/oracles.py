@@ -32,20 +32,30 @@ from codelat.latticeness import (
 )
 
 
-def oracle_min_distance_squared(constellation: PeriodicConstellation) -> int:
-    """Min over pairs (r1, r2 + q*dz) with dz in {-1, 0, 1}^n, plus q^2."""
+def oracle_nearest_squared(constellation: PeriodicConstellation) -> list[int]:
+    """Per rep, the least |r2 + q*dz - r1|^2 over other points, dz in {-1, 0, 1}^n.
+
+    The box holds every nearest translate of a rep in [0, q)^n and the pure
+    translates q*e_j, so the result is capped at q^2.
+    """
     q, n = constellation.q, constellation.n
-    best = q * q
     reps = [np.array(r, dtype=np.int64) for r in constellation.reps]
     shifts = [np.array(s, dtype=np.int64) for s in itertools.product((-1, 0, 1), repeat=n)]
+    nearest = []
     for i, r1 in enumerate(reps):
+        best = q * q
         for j, r2 in enumerate(reps):
             for dz in shifts:
                 if i == j and not dz.any():
                     continue
-                d2 = int(((r2 + q * dz - r1) ** 2).sum())
-                best = min(best, d2)
-    return best
+                best = min(best, int(((r2 + q * dz - r1) ** 2).sum()))
+        nearest.append(best)
+    return nearest
+
+
+def oracle_min_distance_squared(constellation: PeriodicConstellation) -> int:
+    """Min over pairs (r1, r2 + q*dz) with dz in {-1, 0, 1}^n, plus q^2."""
+    return min(oracle_nearest_squared(constellation))
 
 
 def oracle_spectrum(

@@ -196,3 +196,19 @@ def test_cap_exceeded_exits_nonzero(capsys):
     )
     assert code == 2
     assert "cap" in err or "enumerate" in err
+
+
+def test_check_rejects_repeated_rep(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"n": 2, "L": 1, "q": 2, "reps": [[0, 0], [1, 1], [1, 1]]}))
+    code, out, err = run_cli(capsys, "check", "--equimin", "--constellation", str(path))
+    assert code == 2 and out == ""
+    assert "repeated" in err
+
+
+def test_check_eds_beyond_key_width_exits_2(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 33, "L": 2, "q": 4, "reps": [[0] * 33, [1] * 33]}))
+    code, out, err = run_cli(capsys, "check", "--eds", "--constellation", str(path))
+    assert code == 2 and out == ""
+    assert "2^64" in err

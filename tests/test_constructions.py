@@ -234,3 +234,40 @@ def test_level_operations_match_set_oracles():
         levels = [random_words(rng, int(rng.integers(1, 4)), n) for _ in range(L)]
         product = product_main_code([BinaryCode(n, lv) for lv in levels])
         assert product.inner.words.tolist() == sorted(oracle_product_words(levels, n))
+
+
+def test_constellation_rejects_malformed_reps():
+    with pytest.raises(ValueError, match="2-dimensional"):
+        PeriodicConstellation(n=2, L=1, q=2, reps=((0, 0, 0), (1, 1, 1)))
+    with pytest.raises(ValueError):
+        PeriodicConstellation(n=2, L=1, q=2, reps=((0, 0), (1,)))
+    with pytest.raises(ValueError, match="outside"):
+        PeriodicConstellation(n=2, L=2, q=4, reps=((0, 0), (1, 4)))
+    with pytest.raises(ValueError, match="outside"):
+        PeriodicConstellation(n=2, L=2, q=4, reps=((0, -1),))
+    with pytest.raises(ValueError, match="outside"):
+        PeriodicConstellation(n=2, L=2, q=4, reps=((0, 0), (1 << 70, 0)))
+    with pytest.raises(ValueError, match="repeated"):
+        PeriodicConstellation(n=2, L=1, q=2, reps=((0, 0), (1, 1), (1, 1)))
+    with pytest.raises(ValueError, match="repeated"):
+        PeriodicConstellation(n=2, L=1, q=2, reps=((1, 1), (0, 0), (1, 1)))
+    with pytest.raises(ValueError, match="repeated"):
+        PeriodicConstellation.from_json(
+            {"n": 2, "L": 1, "q": 2, "reps": [[0, 0], [1, 1], [1, 1]]}
+        )
+
+
+def test_constellation_sorts_unsorted_reps():
+    P = PeriodicConstellation(n=2, L=2, q=4, reps=((3, 0), (0, 2), (0, 1), (1, 3)))
+    assert P.reps == ((0, 1), (0, 2), (1, 3), (3, 0))
+    assert all(type(c) is int for r in P.reps for c in r)
+    assert P.rep_array().tolist() == [list(r) for r in P.reps]
+    rng = np.random.default_rng(163)
+    for _ in range(50):
+        n = int(rng.integers(1, 5))
+        L = int(rng.integers(1, 4))
+        points = {tuple(r) for r in rng.integers(0, 1 << L, size=(12, n)).tolist()}
+        shuffled = list(points)
+        rng.shuffle(shuffled)
+        P = PeriodicConstellation(n=n, L=L, q=1 << L, reps=np.array(shuffled))
+        assert P.reps == tuple(sorted(points))

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from codelat import catalog
+from codelat import catalog, geometry
 from codelat.constructions import (
     MainCode,
     PeriodicConstellation,
@@ -24,12 +26,14 @@ from codelat.geometry import (
     isometry_orbit_check,
     mcounts,
 )
-from codelat.gf2 import BinaryCode, BitWord
+from codelat.gf2 import BinaryCode, BitWord, enumerate_from_generator
 from oracles import (
     oracle_min_distance_squared,
+    oracle_nearest_squared,
     oracle_spectrum,
     random_linear_code,
     random_linear_main_code,
+    random_words,
 )
 
 
@@ -355,3 +359,79 @@ def test_spectrum_radius_default_covers_2q():
     spec = distance_spectrum(P, (0, 0), 2 * P.q)
     assert max(spec.entries) <= (2 * P.q) ** 2
     assert spec.count(P.q * P.q) >= 2 * P.n
+
+
+def _small_lifts(rng: np.random.Generator, count: int) -> list[PeriodicConstellation]:
+    """C* lifts of random linear main codes and of random word sets, <= 16 reps."""
+    lifts = []
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        L = int(rng.integers(1, 4))
+        k = int(rng.integers(0, min(n * L, 4) + 1))
+        lifts.append(construction_cstar(random_linear_main_code(rng, n, L, k)))
+        words = random_words(rng, int(rng.integers(1, 11)), n * L)
+        lifts.append(construction_cstar(MainCode(BinaryCode(n * L, words), n, L)))
+    return lifts
+
+
+def _eds_expectation(P: PeriodicConstellation, spectra: list[dict[int, int]]):
+    """eds_check's verdict and witness, re-derived from per-rep spectra."""
+    if all(s == spectra[0] for s in spectra):
+        return True, None
+    d2 = min(d for d in set().union(*spectra) if len({s.get(d, 0) for s in spectra}) > 1)
+    col = [s.get(d2, 0) for s in spectra]
+    hi = col.index(max(col))
+    lo = len(col) - 1 - col[::-1].index(min(col))
+    return False, {
+        "d2": d2,
+        "rep_max": list(P.reps[hi]),
+        "count_max": col[hi],
+        "rep_min": list(P.reps[lo]),
+        "count_min": col[lo],
+    }
+
+
+@pytest.mark.parametrize("block", [2, 3])
+def test_scans_across_block_boundaries(monkeypatch, block):
+    monkeypatch.setattr(geometry, "_BLOCK", block)
+    rng = np.random.default_rng(151 + block)
+    verdicts = set()
+    for P in _small_lifts(rng, 15):
+        nearest = oracle_nearest_squared(P)
+        assert dmin_oracle(P) == min(nearest)
+        late = [rep for rep, d in zip(P.reps, nearest) if d != min(nearest)]
+        assert equi_min_distance_check(P) == ((False, late[0]) if late else (True, None))
+        radius = float(P.q)
+        expected = [oracle_spectrum(P, rep, radius) for rep in P.reps]
+        rows = geometry._spectra(P, P.rep_array(), int(radius * radius))
+        assert [{d: int(c) for d, c in enumerate(row) if c and d} for row in rows] == expected
+        eds = eds_check(P, radius)
+        assert eds == _eds_expectation(P, expected)
+        verdicts.add(("equi", not late))
+        verdicts.add(("eds", eds[0]))
+    assert verdicts == {("equi", True), ("equi", False), ("eds", True), ("eds", False)}
+
+
+def test_nearest_scan_memory_is_bounded():
+    # 2048 reps at n=8, L=2: the all-pairs scans stay within a few blocks
+    rng = np.random.default_rng(157)
+    gens = [(1 << i) | (int(rng.integers(0, 1 << 5)) << 11) for i in range(11)]
+    P = construction_cstar(MainCode(enumerate_from_generator(gens, n=16), 8, 2))
+    assert len(P) == 2048
+    tracemalloc.start()
+    try:
+        dmin_oracle(P)
+        equi_min_distance_check(P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_eds_keys_up_to_q_pow_n_2_64():
+    # Construction A of a 64-bit code: q^n = 2^64 exactly, keys still exact
+    P = construction_a(BinaryCode(64, [0, (1 << 64) - 1]))
+    assert eds_check(P, 2) == (True, None)
+    wide = PeriodicConstellation(n=33, L=2, q=4, reps=((0,) * 33, (1,) * 33))
+    with pytest.raises(ValueError, match="2\\^64"):
+        eds_check(wide)

@@ -6,6 +6,7 @@ import pytest
 from codelat import catalog
 from codelat.constructions import (
     MainCode,
+    PeriodicConstellation,
     construction_a,
     construction_c,
     construction_cstar,
@@ -50,8 +51,6 @@ def test_brute_oracle_examples():
 
     lattice = construction_cstar(catalog.worked_example("ex5"))
     assert brute_closure_oracle(lattice).verdict == LATTICE
-
-    from codelat.constructions import PeriodicConstellation
 
     pure = PeriodicConstellation(n=2, L=2, q=4, reps=((0, 0),))
     assert brute_closure_oracle(pure).verdict == LATTICE
@@ -387,3 +386,13 @@ def test_schur_parity_scan_threads_match():
 def test_construction_a_of_linear_code_is_lattice():
     code = enumerate_from_generator([0b011, 0b101], n=3)
     assert brute_closure_oracle(construction_a(code)).verdict == LATTICE
+
+
+def test_brute_oracle_at_and_beyond_key_width():
+    # n*L = 64 uses the packed keys, n*L = 66 the has_rep row loop
+    at = construction_a(BinaryCode(64, [0, (1 << 64) - 1]))
+    beyond = PeriodicConstellation(n=33, L=2, q=4, reps=((0,) * 33, (1,) * 33))
+    assert brute_closure_oracle(at).verdict == LATTICE
+    report = brute_closure_oracle(beyond)
+    assert report.verdict == NOT_LATTICE
+    assert report.witness["difference"] == [3] * 33
