@@ -249,7 +249,11 @@ class BinaryCode:
                 return False
             word = word.bits
         word = int(word)
-        return 0 <= word < (1 << self.n) and bool(self.member_mask(word))
+        if not 0 <= word < (1 << self.n):
+            return False
+        probe = np.uint64(word)  # a scalar probe skips member_mask's 0-d arrays
+        i = self.words.searchsorted(probe)
+        return i < len(self.words) and bool(self.words[i] == probe)
 
     def __eq__(self, other) -> bool:
         return (

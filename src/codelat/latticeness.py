@@ -39,6 +39,8 @@ if TYPE_CHECKING:
     from .catalog import LeechMainCode
 
 DEFAULT_PAIR_BUDGET = 1 << 32
+_TABLE_CAP = 1 << 24  # q^n up to which the brute oracle looks reps up in a bool table
+_BLOCK_KEYS = 1 << 14  # differences per row block of the brute oracle (128 KiB)
 
 LATTICE = "lattice"
 NOT_LATTICE = "not_lattice"
@@ -94,36 +96,91 @@ def brute_closure_oracle(
             pairs_scanned=0,
             elapsed_ms=(time.perf_counter() - t0) * 1e3,
         )
-    # keys of the sorted reps come out sorted
-    keys = rep_keys(reps.T, q) if n * constellation.L <= KEY_BITS else None
-    pairs = 0
-    for i in range(m):
-        diffs = np.mod(reps[i][None, :] - reps, q)
-        pairs += m
-        if keys is None:
-            ok = np.array([constellation.has_rep(tuple(r)) for r in diffs.tolist()], dtype=bool)
-        else:
-            dkeys = rep_keys(diffs.T, q)
-            ok = keys[np.minimum(np.searchsorted(keys, dkeys), m - 1)] == dkeys
-        if not ok.all():
-            j = int(np.argmin(ok))
-            return LatticenessReport(
-                verdict=NOT_LATTICE,
-                method="brute",
-                witness={
-                    "a": [int(c) for c in reps[i]],
-                    "b": [int(c) for c in reps[j]],
-                    "difference": [int(c) for c in diffs[j]],
-                },
-                pairs_scanned=pairs,
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
-            )
+    if n * constellation.L <= KEY_BITS:
+        gap = _first_gap_packed(reps, q, constellation.L)
+    else:
+        gap = _first_gap_rows(constellation, reps)
+    if gap is None:
+        return LatticenessReport(
+            verdict=LATTICE,
+            method="brute",
+            pairs_scanned=m * m,
+            elapsed_ms=(time.perf_counter() - t0) * 1e3,
+        )
+    i, j = gap
     return LatticenessReport(
-        verdict=LATTICE,
+        verdict=NOT_LATTICE,
         method="brute",
-        pairs_scanned=pairs,
+        witness={
+            "a": reps[i].tolist(),
+            "b": reps[j].tolist(),
+            "difference": np.mod(reps[i] - reps[j], q).tolist(),
+        },
+        pairs_scanned=(i + 1) * m,
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
     )
+
+
+def _lane_sub(a: np.ndarray, b: np.ndarray, high: np.uint64) -> np.ndarray:
+    """(a - b) mod 2^L in every L-bit lane of packed uint64 keys.
+
+    ``high`` holds the top bit of each lane.  Setting it in ``a`` and
+    clearing it in ``b`` keeps every lane's borrow inside that lane; the
+    XOR then puts back the top bit the lane difference should have.
+    """
+    return ((a | high) - (b & ~high)) ^ ((a ^ ~b) & high)
+
+
+def _key_lookup(keys: np.ndarray, size: int):
+    """Membership test of uint64 probes among the sorted ``keys``, all < ``size``.
+
+    A bool table of ``size`` entries while that is at most ``_TABLE_CAP``,
+    else one ``searchsorted`` over the keys.
+    """
+    if size <= _TABLE_CAP:
+        table = np.zeros(size, dtype=bool)
+        table[keys] = True
+        # probes below the cap are exact as int64, which take() indexes uncast
+        return lambda probes: table.take(probes.view(np.int64))
+    last = len(keys) - 1
+    return lambda probes: keys[np.minimum(keys.searchsorted(probes), last)] == probes
+
+
+def _first_gap_packed(reps: np.ndarray, q: int, L: int) -> tuple[int, int] | None:
+    """First ordered pair (i, j) with reps[i] - reps[j] mod q outside the reps.
+
+    Needs n*L <= 64: each rep is one packed key, each difference one
+    ``_lane_sub`` and one lookup.  Rows are scanned in blocks that start at
+    one row, so a set failing early stops early, and double up to
+    ``_BLOCK_KEYS`` differences.
+    """
+    m, n = reps.shape
+    keys = rep_keys(reps.T, q)  # sorted, as the reps are
+    member = _key_lookup(keys, q**n)
+    high = np.uint64(sum(1 << (j * L + L - 1) for j in range(n)))
+    cap = max(1, _BLOCK_KEYS // m)
+    i, rows = 0, 1
+    while i < m:
+        block = keys[i : i + rows]
+        ok = member(_lane_sub(block[:, None], keys, high))
+        if not ok.all():
+            i2, j = divmod(int(np.argmin(ok)), m)  # row-major first failure
+            return i + i2, j
+        i += len(block)
+        rows = min(2 * rows, cap)
+    return None
+
+
+def _first_gap_rows(
+    constellation: PeriodicConstellation, reps: np.ndarray
+) -> tuple[int, int] | None:
+    """``_first_gap_packed`` for reps too wide to pack: ``has_rep`` row by row."""
+    for i in range(len(reps)):
+        diffs = np.mod(reps[i] - reps, constellation.q).tolist()
+        for j, d in enumerate(diffs):
+            if not constellation.has_rep(tuple(d)):
+                return i, j
+    return None
 
 
 def thm1_check(codes: Sequence[BinaryCode]) -> LatticenessReport:

@@ -249,6 +249,19 @@ def test_lookup_above_2_53():
     assert not is_nested(BinaryCode(61, [1 << 60]), code)
 
 
+def test_scalar_membership_edges():
+    ones = (1 << 64) - 1
+    code = BinaryCode(64, [0, ones])
+    assert 0 in code and ones in code and BitWord(ones, 64) in code
+    assert -1 not in code and -ones not in code and 1 << 64 not in code
+    small = BinaryCode(5, [0, 0b10110])
+    assert 0 in small and 0b10110 in small and np.uint64(0b10110) in small
+    assert -0b10110 not in small and 0b10111 not in small
+    assert (1 << 5) | 0b10110 not in small and ones not in small  # >= 2^n
+    assert BitWord(0b10110, 5) in small and BitWord(0b10110, 6) not in small
+    assert 0 not in BinaryCode(3, [])
+
+
 def test_word_store_matches_set_oracle():
     # membership, nesting and distance on the packed array against Python sets
     rng = np.random.default_rng(131)

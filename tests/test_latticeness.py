@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from codelat import catalog
+from codelat import catalog, latticeness
 from codelat.constructions import (
     MainCode,
     PeriodicConstellation,
@@ -12,6 +13,7 @@ from codelat.constructions import (
     construction_cstar,
     construction_d,
     product_main_code,
+    rep_keys,
 )
 from codelat.gf2 import BinaryCode, BitWord, enumerate_from_generator, gf2_reduce_basis
 from codelat.latticeness import (
@@ -29,6 +31,7 @@ from codelat.latticeness import (
     thm5_check,
 )
 from oracles import (
+    brute_rows_oracle,
     carry_r_terms,
     carry_set,
     lift_word_to_point,
@@ -36,6 +39,7 @@ from oracles import (
     random_linear_code,
     random_lattice_main_code,
     random_linear_main_code,
+    random_words,
     thm4_all_pairs_oracle,
     thm5_full_scan,
 )
@@ -396,3 +400,151 @@ def test_brute_oracle_at_and_beyond_key_width():
     report = brute_closure_oracle(beyond)
     assert report.verdict == NOT_LATTICE
     assert report.witness["difference"] == [3] * 33
+
+
+def _symmetric_set(
+    rng: np.random.Generator, n: int, L: int, size: int, gens: int = 0
+) -> PeriodicConstellation:
+    """G + ({0} u R u -R): R holds ``size`` random points with x_0 != 0.
+
+    G is a random lattice with ``gens`` generators inside x_0 = 0 (G = {0}
+    for none, or for n = 1).  G's reps come first in canonical order and
+    every row of G passes the scan, so the first failure lies past them.
+    """
+    q = 1 << L
+    group = np.zeros((1, n), dtype=np.int64)
+    if gens and n > 1:
+        sub = construction_cstar(random_lattice_main_code(rng, n - 1, L, gens)).rep_array()
+        group = np.hstack([np.zeros((len(sub), 1), dtype=np.int64), sub])
+    r = rng.integers(0, q, size=(size, n))
+    r[:, 0] = rng.integers(1, q, size=size)
+    shifts = np.vstack([np.zeros((1, n), dtype=np.int64), r, (-r) % q])
+    pts = np.unique(((group[:, None, :] + shifts[None, :, :]) % q).reshape(-1, n), axis=0)
+    return PeriodicConstellation(n=n, L=L, q=q, reps=tuple(map(tuple, pts.tolist())))
+
+
+@pytest.fixture(scope="module")
+def brute_cases():
+    """~200 small lifts and sets, each with the row-loop reference report."""
+    rng = np.random.default_rng(59)
+    sets = []
+    for t in range(200):
+        n, L = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        kind = t % 4
+        if kind == 0:
+            sets.append(construction_cstar(random_linear_main_code(rng, n, L)))
+        elif kind == 1:
+            gens = int(rng.integers(1, 3))
+            sets.append(construction_cstar(random_lattice_main_code(rng, n, L, gens)))
+        elif kind == 2:
+            levels = [random_linear_code(rng, n, int(rng.integers(0, n + 1))) for _ in range(L)]
+            sets.append(construction_c(levels))
+        else:
+            size, gens = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+            sets.append(_symmetric_set(rng, n, L, size, gens))
+    return [(P, brute_rows_oracle(P)) for P in sets]
+
+
+@pytest.mark.parametrize("table_cap", [latticeness._TABLE_CAP, 0])
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_brute_oracle_matches_row_loop(brute_cases, monkeypatch, rows, table_cap):
+    # blocks of 1 row, of 3 rows (ragged) and of the default size, looked up
+    # in the bool table and, with the cap at 0, by searchsorted
+    monkeypatch.setattr(latticeness, "_TABLE_CAP", table_cap)
+    verdicts = set()
+    late = 0
+    for P, ref in brute_cases:
+        if rows is not None:
+            monkeypatch.setattr(latticeness, "_BLOCK_KEYS", rows * len(P))
+        got = brute_closure_oracle(P)
+        assert (got.verdict, got.witness, got.pairs_scanned) == (
+            ref.verdict,
+            ref.witness,
+            ref.pairs_scanned,
+        )
+        verdicts.add(got.verdict)
+        late += got.verdict == NOT_LATTICE and got.pairs_scanned > 3 * len(P)
+    assert verdicts == {LATTICE, NOT_LATTICE}
+    assert late > 0  # first failures past the first blocks
+
+
+@pytest.mark.parametrize(
+    "L, n", [(1, 64), (2, 32), (4, 16), (8, 8), (3, 21), (5, 12), (7, 9), (3, 1)]
+)
+def test_lane_sub_matches_mod_difference(L, n):
+    # n*L = 64 puts the top lane's high bit at bit 63; L = 1 is XOR
+    rng = np.random.default_rng(100 * L + n)
+    q = 1 << L
+    a, b = rng.integers(0, q, size=(2, 300, n))
+    a[0], b[0] = 0, q - 1  # every lane borrows
+    a[1], b[1] = q - 1, 0
+    a[2], b[2] = q - 1, q - 1
+    high = np.uint64(sum(1 << (j * L + L - 1) for j in range(n)))
+    ka, kb = rep_keys(a.T, q), rep_keys(b.T, q)
+    got = latticeness._lane_sub(ka, kb, high)
+    assert np.array_equal(got, rep_keys(np.mod(a - b, q).T, q))
+    if L == 1:
+        assert np.array_equal(got, ka ^ kb)
+
+
+def test_brute_oracle_at_key_width_matches_row_loop():
+    # n*L = 64 with L = 1, 2, 4 and 8: q^n = 2^64, so the searchsorted lookup
+    rng = np.random.default_rng(64)
+    words = random_words(rng, 3, 64)
+    cases = [
+        construction_a(BinaryCode(64, [0, *words])),
+        construction_a(enumerate_from_generator(words, n=64)),
+        _symmetric_set(rng, 32, 2, 3),
+        _symmetric_set(rng, 16, 4, 3),
+        _symmetric_set(rng, 8, 8, 4),
+        PeriodicConstellation(n=8, L=8, q=256, reps=((0,) * 8, (128,) * 8)),
+    ]
+    verdicts = set()
+    for P in cases:
+        got, ref = brute_closure_oracle(P), brute_rows_oracle(P)
+        assert (got.verdict, got.witness, got.pairs_scanned) == (
+            ref.verdict,
+            ref.witness,
+            ref.pairs_scanned,
+        )
+        verdicts.add(got.verdict)
+    assert verdicts == {LATTICE, NOT_LATTICE}
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_brute_oracle_table_at_and_past_cap(monkeypatch):
+    # q^n at the cap builds the q^n-byte table; one more lane looks up by
+    # searchsorted
+    rng = np.random.default_rng(24)
+    L, n = 3, 6
+    monkeypatch.setattr(latticeness, "_TABLE_CAP", 8**n)
+    for lanes, tabled in ((n, True), (n + 1, False)):
+        zero = PeriodicConstellation(n=lanes, L=L, q=8, reps=((0,) * lanes,))
+        for P in (_symmetric_set(rng, lanes, L, 5), zero):
+            ref = brute_rows_oracle(P)
+            got, peak = _peak_bytes(lambda: brute_closure_oracle(P))
+            assert (got.verdict, got.witness, got.pairs_scanned) == (
+                ref.verdict,
+                ref.witness,
+                ref.pairs_scanned,
+            )
+            assert (peak >= 8**n) == tabled
+
+
+def test_brute_oracle_memory_is_bounded():
+    # 4096 reps, n=6, L=3, a full scan: a 2^18-byte table and ~128 KiB blocks
+    full = enumerate_from_generator([1 << i for i in range(6)], n=6)
+    zero = BinaryCode(6, [0], linear=True)
+    P = construction_cstar(product_main_code([zero, full, full]))
+    assert len(P) == 4096
+    report, peak = _peak_bytes(lambda: brute_closure_oracle(P))
+    assert report.verdict == LATTICE and report.pairs_scanned == 4096**2
+    assert peak < 8 << 20
