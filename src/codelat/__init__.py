@@ -6,12 +6,8 @@ from .gf2 import (
     EnumerationCapError,
     LengthMismatchError,
     enumerate_from_generator,
-    hamming_distance,
-    hamming_weight,
     is_nested,
     min_hamming_distance,
-    schur_closed_chain,
-    schur_product,
 )
 from .constructions import (
     CarryRecord,
@@ -40,7 +36,6 @@ from .geometry import (
     MCounts,
     distance_spectrum,
     dmin_formula_c,
-    dmin_lower_bound_2level,
     dmin_oracle,
     dmin_to_zero,
     dmin_to_zero_structured,
@@ -52,7 +47,6 @@ from .geometry import (
 )
 from .packing import (
     PackingReport,
-    compare_cstar_vs_c,
     log_unit_ball_volume,
     packing_report,
     packing_report_from_counts,

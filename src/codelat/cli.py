@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -201,7 +200,10 @@ def cmd_check(args) -> int:
     if args.lattice:
         if args.lattice == "all":
             lattice_methods = ["brute"]
-            lattice_methods += ["thm1"] if isinstance(obj, list) else ["thm4", "thm5"]
+            # the code-level tests need verified-linear codes; brute needs none
+            codes = obj if isinstance(obj, list) else [obj]
+            if all(getattr(code, "linear", True) is True for code in codes):
+                lattice_methods += ["thm1"] if isinstance(obj, list) else ["thm4", "thm5"]
         else:
             lattice_methods = [args.lattice]
     verdicts = {}
@@ -212,9 +214,7 @@ def cmd_check(args) -> int:
             verdicts[method] = thm1_check(obj).as_json(include_timing)
         elif method == "thm4":
             if isinstance(obj, catalog.LeechMainCode):
-                verdicts[method] = thm4_check_leech(obj, threads=args.threads).as_json(
-                    include_timing
-                )
+                verdicts[method] = thm4_check_leech(obj).as_json(include_timing)
             elif isinstance(obj, MainCode):
                 verdicts[method] = thm4_check(obj).as_json(include_timing)
             else:
@@ -379,7 +379,7 @@ def cmd_gvb(args) -> int:
 def cmd_leech(args) -> int:
     t0 = time.perf_counter()
     leech = catalog.leech_main_code()
-    chain_report = thm4_check_leech(leech, threads=args.threads)
+    chain_report = thm4_check_leech(leech)
     d2 = dmin_to_zero_structured(leech.prefixes(), n=24, L=3)
     pack = packing_report_from_counts(24, 3, leech.num_words, d2)
     d2_assoc = leech.associated_dmin_formula()
@@ -430,12 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="codelat",
         description="Multilevel constellations from binary codes",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("CODELAT_THREADS", "1")),
-        help="worker cap for the Leech Schur-parity scan (default: CODELAT_THREADS or 1)",
-    )
+    parser.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_kind=True):

@@ -23,7 +23,6 @@ from .gf2 import (
     EnumerationCapError,
     LengthMismatchError,
     as_word,
-    gf2_reduce_basis,
     is_nested,
 )
 
@@ -68,9 +67,7 @@ class MainCode:
         return word in self.inner
 
     def generators(self) -> list[int]:
-        """A basis of the code: the reduced stored generator, else one read off the words."""
-        gen = self.inner.generator
-        return gf2_reduce_basis(self.inner.words.tolist() if gen is None else gen)
+        return self.inner.basis()
 
     def split(self, word: int) -> tuple[int, ...]:
         mask = (1 << self.n) - 1

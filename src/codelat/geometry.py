@@ -222,15 +222,6 @@ def dmin_to_zero_structured(
     return min(best, q * q)
 
 
-def dmin_lower_bound_2level(dh1: int, dh2: int) -> int:
-    """Two-level heuristic floor min(4*d_H(C_2) - 3*d_H(C_1), 16)."""
-    if dh2 <= dh1:
-        raise ValueError(
-            f"bound requires d_H(C_2) > d_H(C_1), got {dh2} <= {dh1}"
-        )
-    return min(4 * dh2 - 3 * dh1, 16)
-
-
 def dmin_upper_bound_antiprojection(main: MainCode) -> int:
     """Upper bound from antiprojections at zero: each nonzero word of
     S_i(0) places a constellation point 2^(i-1) * s next to zero."""

@@ -127,22 +127,6 @@ def as_word(value, n: int | None = None) -> BitWord:
     return BitWord.from_bits(value)
 
 
-def hamming_distance(x: BitWord, y: BitWord) -> int:
-    """Number of coordinates where the two words differ."""
-    _check_same_length(x, y)
-    return (x.bits ^ y.bits).bit_count()
-
-
-def hamming_weight(x: BitWord) -> int:
-    return x.bits.bit_count()
-
-
-def schur_product(x: BitWord, y: BitWord) -> BitWord:
-    """Componentwise product (AND) of two equal-length words."""
-    _check_same_length(x, y)
-    return BitWord(x.bits & y.bits, x.n)
-
-
 def gf2_reduce_basis(vectors: Iterable[int]) -> list[int]:
     """Extract a row-reduced independent basis from int-packed vectors."""
     basis: list[int] = []  # kept with strictly decreasing leading bits
@@ -154,10 +138,6 @@ def gf2_reduce_basis(vectors: Iterable[int]) -> list[int]:
             basis.append(cur)
             basis.sort(reverse=True)
     return basis
-
-
-def gf2_rank(vectors: Iterable[int]) -> int:
-    return len(gf2_reduce_basis(vectors))
 
 
 class BinaryCode:
@@ -271,8 +251,13 @@ class BinaryCode:
     def bitwords(self) -> Iterator[BitWord]:
         return (BitWord(w, self.n) for w in self.words.tolist())
 
+    def basis(self) -> list[int]:
+        """A basis of the span: the reduced stored generator, else one read off the words."""
+        gen = self.generator
+        return gf2_reduce_basis(self.words.tolist() if gen is None else gen)
+
     def rank(self) -> int:
-        return gf2_rank(self.words.tolist())
+        return len(self.basis())
 
     def contains_nonzero(self) -> bool:
         return bool(self.words.any())
@@ -353,27 +338,6 @@ def is_nested(inner: BinaryCode, outer: BinaryCode) -> bool:
     if inner.n != outer.n:
         raise LengthMismatchError(f"code lengths differ: {inner.n} vs {outer.n}")
     return bool(outer.member_mask(inner.words).all())
-
-
-def schur_closed_chain(
-    codes: Sequence[BinaryCode],
-) -> tuple[bool, tuple[int, BitWord, BitWord] | None]:
-    """Check x*y in C_{i+1} for every pair x, y in C_i, i = 1..L-1.
-
-    Returns (True, None) or (False, (i, x, y)) with the first violating
-    level (1-based) and pair in lexicographic scan order.
-    """
-    for i in range(len(codes) - 1):
-        cur, nxt = codes[i], codes[i + 1]
-        if cur.n != nxt.n:
-            raise LengthMismatchError(f"code lengths differ: {cur.n} vs {nxt.n}")
-        ws = cur.words
-        for a in range(len(ws)):
-            ok = nxt.member_mask(ws[a] & ws[a:])
-            if not ok.all():
-                b = a + int(np.argmin(ok))
-                return False, (i + 1, BitWord(ws[a], cur.n), BitWord(ws[b], cur.n))
-    return True, None
 
 
 # Code file format: line 1 is "n k" (generator form, k basis rows follow)

@@ -30,9 +30,7 @@ from .gf2 import (
     BinaryCode,
     BitWord,
     LengthMismatchError,
-    gf2_reduce_basis,
     is_nested,
-    schur_closed_chain,
 )
 
 if TYPE_CHECKING:
@@ -187,7 +185,9 @@ def thm1_check(codes: Sequence[BinaryCode]) -> LatticenessReport:
     """Nested-chain test for Construction C from linear codes.
 
     Lattice iff the chain is nested and Schur-closed level into next
-    level; Constructions C and D then give the same rep set.
+    level; Constructions C and D then give the same rep set.  The witness
+    of a failed closure is the first violating basis pair of C_level (see
+    ``_schur_gap``).
     """
     t0 = time.perf_counter()
     for code in codes:
@@ -201,25 +201,41 @@ def thm1_check(codes: Sequence[BinaryCode]) -> LatticenessReport:
                 witness={"non_nested_level": i + 1},
                 elapsed_ms=(time.perf_counter() - t0) * 1e3,
             )
-    closed, wit = schur_closed_chain(codes)
-    if not closed:
-        i, x, y = wit
-        return LatticenessReport(
-            verdict=NOT_LATTICE,
-            method="thm1",
-            witness={
-                "level": i,
-                "x": x.to_tuple(),
-                "y": y.to_tuple(),
-                "product": (x & y).to_tuple(),
-            },
-            elapsed_ms=(time.perf_counter() - t0) * 1e3,
-        )
+    for i in range(len(codes) - 1):
+        gap = _schur_gap(codes[i], codes[i + 1])
+        if gap is not None:
+            x, y = (BitWord(w, codes[i].n) for w in gap)
+            return LatticenessReport(
+                verdict=NOT_LATTICE,
+                method="thm1",
+                witness={
+                    "level": i + 1,
+                    "x": x.to_tuple(),
+                    "y": y.to_tuple(),
+                    "product": (x & y).to_tuple(),
+                },
+                elapsed_ms=(time.perf_counter() - t0) * 1e3,
+            )
     return LatticenessReport(
         verdict=LATTICE,
         method="thm1",
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
     )
+
+
+def _schur_gap(code: BinaryCode, target: BinaryCode) -> tuple[int, int] | None:
+    """First basis pair (g, h) of ``code`` whose product g & h is not in ``target``.
+
+    Decides code * code <= target for a linear ``target``: the Schur
+    product is bilinear, so every product x & y is a sum of basis products.
+    Pairs g <= h go in basis order; None when the closure holds.
+    """
+    basis = code.basis()
+    for a, g in enumerate(basis):
+        for h in basis[a:]:
+            if (g & h) not in target:
+                return g, h
+    return None
 
 
 def carry_terms(c, c_tilde, n: int, L: int) -> CarryRecord:
@@ -381,8 +397,8 @@ def thm4_check(main: MainCode) -> LatticenessReport:
     words lands in S_i(0).  Once the chain holds, the deeper carry-recursion
     products are themselves pairwise products of level-(i-1) words, so the
     pairwise check covers them.  Both codes are linear and the Schur
-    product is bilinear, so the closure is tested on basis pairs (g, h),
-    g <= h, of C_{i-1} only.
+    product is bilinear, so ``_schur_gap`` tests the closure on basis
+    pairs of C_{i-1} only.
     """
     t0 = time.perf_counter()
     if main.inner.linear is not True:
@@ -416,11 +432,7 @@ def thm4_check(main: MainCode) -> LatticenessReport:
     closures: list[dict] = []
     if ok:
         for i in range(2, main.L + 1):
-            target = anti[i - 1]
-            basis = gf2_reduce_basis(projections[i - 2].words.tolist())
-            good = all(
-                (g & h) in target for a, g in enumerate(basis) for h in basis[a:]
-            )
+            good = _schur_gap(projections[i - 2], anti[i - 1]) is None
             closures.append(
                 {"closure": f"C_{i - 1}*C_{i - 1} <= S_{i}(0)", "holds": bool(good)}
             )
@@ -441,7 +453,8 @@ def thm4_check_leech(leech, threads: int = 1) -> LatticenessReport:
     computed facts (the all-ones word is a Golay codeword; every Golay
     codeword has even weight); the heavy closure step is the full scan of
     Golay pairs checking that every Schur product has even weight, run on
-    packed 24-bit words without materialising the carry set.
+    packed 24-bit words without materialising the carry set.  ``threads``
+    is unused; it stays for callers that pass it.
     """
     t0 = time.perf_counter()
     golay = leech.golay
@@ -460,7 +473,7 @@ def thm4_check_leech(leech, threads: int = 1) -> LatticenessReport:
             "holds": bool(0 in golay and ones in golay),
         }
     ]
-    violations, pairs = schur_parity_scan(golay, threads=threads)
+    violations, pairs = schur_parity_scan(golay)
     closures.append(
         {
             "closure": "C_2*C_2 <= S_3(0)",
@@ -479,7 +492,7 @@ def thm4_check_leech(leech, threads: int = 1) -> LatticenessReport:
     )
 
 
-def schur_parity_scan(code: BinaryCode, threads: int = 1) -> tuple[int, int]:
+def schur_parity_scan(code: BinaryCode) -> tuple[int, int]:
     """Count codeword pairs whose Schur product has odd weight.
 
     Scans the upper triangle including the diagonal; returns
@@ -487,22 +500,7 @@ def schur_parity_scan(code: BinaryCode, threads: int = 1) -> tuple[int, int]:
     """
     arr = code.words
     m = len(arr)
-
-    def scan_rows(rows: range) -> tuple[int, int]:
-        bad = 0
-        cnt = 0
-        for i in rows:
-            prods = arr[i] & arr[i:]
-            bad += int(np.count_nonzero(np.bitwise_count(prods) & 1))
-            cnt += m - i
-        return bad, cnt
-
-    if threads <= 1:
-        return scan_rows(range(m))
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunk = (m + threads - 1) // threads
-    parts = [range(s, min(s + chunk, m)) for s in range(0, m, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(scan_rows, parts))
-    return sum(r[0] for r in results), sum(r[1] for r in results)
+    bad = 0
+    for i in range(m):
+        bad += int(np.count_nonzero(np.bitwise_count(arr[i] & arr[i:]) & 1))
+    return bad, m * (m + 1) // 2

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import MainCode, PeriodicConstellation, projection_codes
+from .constructions import PeriodicConstellation
 from .geometry import dmin_oracle
 
 
@@ -148,14 +148,3 @@ def compare_from_logs(
         delta_winner=winner,
         rho_winner=winner,
     )
-
-
-def compare_cstar_vs_c(
-    main: MainCode, d1_squared: int, d2_squared: int
-) -> PackingComparison:
-    """Compare a main code's lift against its associated independent-level lift."""
-    product = 1
-    for code in projection_codes(main):
-        product *= len(code)
-    ratio = math.log2(product) - math.log2(len(main))
-    return compare_from_logs(main.n, d1_squared, d2_squared, ratio)

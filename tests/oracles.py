@@ -10,11 +10,18 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from typing import Sequence
 
 import numpy as np
 
 from codelat.catalog import golay_b_matrix
-from codelat.constructions import KEY_BITS, MainCode, PeriodicConstellation, rep_keys
+from codelat.constructions import (
+    KEY_BITS,
+    MainCode,
+    PeriodicConstellation,
+    projection_codes,
+    rep_keys,
+)
 from codelat.gf2 import (
     BinaryCode,
     BitWord,
@@ -30,6 +37,7 @@ from codelat.latticeness import (
     BudgetExceededError,
     LatticenessReport,
 )
+from codelat.packing import PackingComparison, compare_from_logs
 
 
 def oracle_nearest_squared(constellation: PeriodicConstellation) -> list[int]:
@@ -406,3 +414,35 @@ def thm4_all_pairs_oracle(main: MainCode) -> tuple[str, dict]:
             )
             ok = ok and good
     return (LATTICE if ok else INCONCLUSIVE), {"chain": chain, "closures": closures}
+
+
+def schur_closed_chain(
+    codes: Sequence[BinaryCode],
+) -> tuple[bool, tuple[int, BitWord, BitWord] | None]:
+    """Check x*y in C_{i+1} for every pair x, y in C_i, i = 1..L-1.
+
+    Returns (True, None) or (False, (i, x, y)) with the first violating
+    level (1-based) and pair in lexicographic scan order.
+    """
+    for i in range(len(codes) - 1):
+        cur, nxt = codes[i], codes[i + 1]
+        if cur.n != nxt.n:
+            raise LengthMismatchError(f"code lengths differ: {cur.n} vs {nxt.n}")
+        ws = cur.words
+        for a in range(len(ws)):
+            ok = nxt.member_mask(ws[a] & ws[a:])
+            if not ok.all():
+                b = a + int(np.argmin(ok))
+                return False, (i + 1, BitWord(ws[a], cur.n), BitWord(ws[b], cur.n))
+    return True, None
+
+
+def compare_cstar_vs_c(
+    main: MainCode, d1_squared: int, d2_squared: int
+) -> PackingComparison:
+    """Compare a main code's lift against its associated independent-level lift."""
+    product = 1
+    for code in projection_codes(main):
+        product *= len(code)
+    ratio = math.log2(product) - math.log2(len(main))
+    return compare_from_logs(main.n, d1_squared, d2_squared, ratio)

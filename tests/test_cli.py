@@ -212,3 +212,67 @@ def test_check_eds_beyond_key_width_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", "--eds", "--constellation", str(path))
     assert code == 2 and out == ""
     assert "2^64" in err
+
+
+# {0, 3, 5, 6, 9, 17, 30}: seven words, so not a linear code
+NONLINEAR_CODE = "5 *\n" + "".join(
+    " ".join(str((w >> j) & 1) for j in range(5)) + "\n" for w in (0, 3, 5, 6, 9, 17, 30)
+)
+
+
+def test_check_all_on_nonlinear_code_runs_brute(capsys, tmp_path):
+    path = tmp_path / "nonlinear.code"
+    path.write_text(NONLINEAR_CODE)
+    code, out, _ = run_cli(
+        capsys, "check", "--lattice", "all", "--kind", "a", "--code", str(path)
+    )
+    assert code == 0
+    assert list(json.loads(out)["lattice"]) == ["brute"]
+    _, brute_out, _ = run_cli(
+        capsys, "check", "--lattice", "brute", "--kind", "a", "--code", str(path)
+    )
+    assert out == brute_out
+
+
+def test_check_all_on_nonlinear_level_code_runs_brute_and_geometry(capsys, tmp_path):
+    path = tmp_path / "nonlinear.code"
+    path.write_text(NONLINEAR_CODE)
+    full = tmp_path / "full.code"
+    full.write_text("5 5\n1 0 0 0 0\n0 1 0 0 0\n0 0 1 0 0\n0 0 0 1 0\n0 0 0 0 1\n")
+    code, out, _ = run_cli(
+        capsys, "check", "--lattice", "all", "--kind", "c", "--eds", "--radius", "2",
+        "--code", str(path), "--code", str(full),
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert list(data["lattice"]) == ["brute"]
+    assert data["lattice"]["brute"]["verdict"] == "not_lattice"
+    assert isinstance(data["eds"]["holds"], bool)
+
+
+def test_check_thm1_on_nonlinear_code_exits_2(capsys, tmp_path):
+    path = tmp_path / "nonlinear.code"
+    path.write_text(NONLINEAR_CODE)
+    code, out, err = run_cli(
+        capsys, "check", "--lattice", "thm1", "--kind", "a", "--code", str(path)
+    )
+    assert code == 2 and out == ""
+    assert "the nested-chain test requires verified-linear codes" in err
+
+
+def test_check_all_on_nonlinear_main_code_runs_brute(capsys, tmp_path):
+    path = tmp_path / "nonlinear.code"
+    path.write_text("4 *\n0 0 0 0\n1 1 0 0\n1 0 1 0\n")
+    code, out, _ = run_cli(
+        capsys, "check", "--lattice", "all", "--code", str(path), "--n", "2", "--L", "2"
+    )
+    assert code == 0
+    assert list(json.loads(out)["lattice"]) == ["brute"]
+
+
+def test_threads_flag_parses_without_effect(capsys):
+    _, plain, _ = run_cli(capsys, "check", "--lattice", "thm4", "--catalog", "leech")
+    code, threaded, _ = run_cli(
+        capsys, "--threads", "4", "check", "--lattice", "thm4", "--catalog", "leech"
+    )
+    assert code == 0 and threaded == plain

@@ -16,7 +16,6 @@ from codelat.geometry import (
     centered_residue,
     distance_spectrum,
     dmin_formula_c,
-    dmin_lower_bound_2level,
     dmin_oracle,
     dmin_to_zero,
     dmin_to_zero_structured,
@@ -190,13 +189,6 @@ def test_structured_solver_matches_enumeration():
         assert expected == min(_top_digit_norms(P) + [P.q * P.q])
         got = dmin_to_zero_structured(prefixes, n=n, L=L)
         assert got == expected
-
-
-def test_dmin_lower_bound_2level():
-    assert dmin_lower_bound_2level(1, 4) == 13
-    assert dmin_lower_bound_2level(1, 5) == 16
-    with pytest.raises(ValueError):
-        dmin_lower_bound_2level(4, 4)
 
 
 def test_dmin_upper_bound_examples():

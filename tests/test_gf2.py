@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codelat import latticeness
 from codelat.gf2 import (
     BinaryCode,
     BitWord,
@@ -13,14 +14,12 @@ from codelat.gf2 import (
     LengthMismatchError,
     enumerate_from_generator,
     format_code_file,
-    hamming_distance,
-    hamming_weight,
+    gf2_reduce_basis,
     is_nested,
     min_hamming_distance,
     parse_code_text,
-    schur_closed_chain,
-    schur_product,
 )
+from codelat.latticeness import LATTICE, NOT_LATTICE, thm1_check
 from oracles import (
     carry_identity_check,
     oracle_pairwise_min_hamming,
@@ -32,39 +31,39 @@ W = BitWord.from_string
 
 
 def test_hamming_distance_examples():
-    assert hamming_distance(W("11"), W("00")) == 2
+    assert (W("11") ^ W("00")).weight == 2
     x = W("101101")
-    assert hamming_distance(x, x) == 0
+    assert (x ^ x).weight == 0
     # direct count over the 6 coordinates: they differ at positions 1, 4, 5
-    assert hamming_distance(W("101101"), W("001011")) == 3
-    assert hamming_weight(W("101101")) == 4
+    assert (W("101101") ^ W("001011")).weight == 3
+    assert W("101101").weight == 4
 
 
 def test_hamming_distance_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        hamming_distance(W("10"), W("100"))
+        W("10") ^ W("100")
+    with pytest.raises(LengthMismatchError):
+        W("10") & W("100")
 
 
 def test_schur_product_examples():
-    assert schur_product(W("1100"), W("1010")) == W("1000")
+    assert W("1100") & W("1010") == W("1000")
     x = W("0110")
-    assert schur_product(x, x) == x
-    assert schur_product(W("11"), W("11")) == W("11")
+    assert x & x == x
+    assert W("11") & W("11") == W("11")
 
 
 def test_schur_product_algebra_exhaustive_n2():
     words = [BitWord(b, 2) for b in range(4)]
     for x, y, z in itertools.product(words, repeat=3):
-        assert schur_product(x, y) == schur_product(y, x)
-        assert schur_product(schur_product(x, y), z) == schur_product(
-            x, schur_product(y, z)
-        )
+        assert x & y == y & x
+        assert (x & y) & z == x & (y & z)
 
 
 def test_triangle_inequality_exhaustive_n4():
     words = [BitWord(b, 4) for b in range(16)]
     for x, y, z in itertools.product(words, repeat=3):
-        assert hamming_distance(x, z) <= hamming_distance(x, y) + hamming_distance(y, z)
+        assert (x ^ z).weight <= (x ^ y).weight + (y ^ z).weight
 
 
 def test_carry_identity_exhaustive_small():
@@ -104,9 +103,7 @@ def test_enumerate_size_is_power_of_rank():
         k = int(rng.integers(0, n + 3))
         cols = [int(x) for x in rng.integers(0, 1 << n, size=k, dtype=np.uint64)]
         code = enumerate_from_generator(cols, n=n) if cols else BinaryCode(n, [0])
-        from codelat.gf2 import gf2_rank
-
-        assert len(code) == 1 << gf2_rank(cols)
+        assert len(code) == 1 << len(gf2_reduce_basis(cols)) == 1 << code.rank()
 
 
 def test_enumeration_cap():
@@ -161,23 +158,24 @@ def test_nested_repetition_in_parity_n4():
 def test_schur_chain_d4_plus():
     rep = enumerate_from_generator([0b1111], n=4)
     parity = enumerate_from_generator([0b0011, 0b0110, 0b1100], n=4)
-    ok, witness = schur_closed_chain([rep, parity])
-    assert ok and witness is None
+    report = thm1_check([rep, parity])
+    assert report.verdict == LATTICE and report.witness is None
 
 
 def test_schur_chain_d3_plus_witness():
     rep = enumerate_from_generator([0b111], n=3)
     parity = enumerate_from_generator([0b011, 0b110], n=3)
-    ok, witness = schur_closed_chain([rep, parity])
-    assert not ok
-    level, x, y = witness
-    assert level == 1
-    assert x.to_tuple() == (1, 1, 1) and y.to_tuple() == (1, 1, 1)
+    # 111 has odd weight, so thm1 stops at the nesting test
+    report = thm1_check([rep, parity])
+    assert report.verdict == NOT_LATTICE
+    assert report.witness == {"non_nested_level": 1}
+    # the closure itself fails on the repetition code's one basis word, 111
+    assert latticeness._schur_gap(rep, parity) == (0b111, 0b111)
 
 
 def test_schur_chain_single_zero_code():
-    ok, witness = schur_closed_chain([BinaryCode(3, [0])])
-    assert ok and witness is None
+    report = thm1_check([BinaryCode(3, [0])])
+    assert report.verdict == LATTICE and report.witness is None
 
 
 def test_linearity_flags():

@@ -12,13 +12,12 @@ from codelat.constructions import (
 )
 from codelat.geometry import dmin_oracle
 from codelat.packing import (
-    compare_cstar_vs_c,
     compare_from_logs,
     log_unit_ball_volume,
     packing_report,
     packing_report_from_counts,
 )
-from oracles import random_linear_code, random_linear_main_code
+from oracles import compare_cstar_vs_c, random_linear_code, random_linear_main_code
 
 
 def test_log_unit_ball_volume():
