@@ -196,32 +196,33 @@ def cmd_check(args) -> int:
     include_timing = args.timings
     lift = functools.cache(lambda: _as_constellation(obj, args.kind, args.cap))
 
+    is_main = isinstance(obj, (MainCode, catalog.LeechMainCode))
     lattice_methods = []
-    if args.lattice:
-        if args.lattice == "all":
-            lattice_methods = ["brute"]
-            # the code-level tests need verified-linear codes; brute needs none
-            codes = obj if isinstance(obj, list) else [obj]
-            if all(getattr(code, "linear", True) is True for code in codes):
-                lattice_methods += ["thm1"] if isinstance(obj, list) else ["thm4", "thm5"]
-        else:
-            lattice_methods = [args.lattice]
+    if args.lattice == "all":
+        lattice_methods = ["brute"]
+        # the code-level tests need verified-linear codes; brute needs none
+        codes = obj if isinstance(obj, list) else [obj]
+        if all(getattr(code, "linear", True) is True for code in codes):
+            if isinstance(obj, list):
+                lattice_methods.append("thm1")
+            elif is_main:
+                lattice_methods += ["thm4", "thm5"]
+    elif args.lattice:
+        lattice_methods = [args.lattice]
+        if args.lattice == "thm1" and not isinstance(obj, list):
+            raise ValueError("thm1 runs on a list of level codes")
+        if args.lattice in ("thm4", "thm5") and not is_main:
+            raise ValueError(f"{args.lattice} runs on a main code")
     verdicts = {}
     for method in lattice_methods:
         if method == "thm1":
-            if not isinstance(obj, list):
-                raise SystemExit("thm1 runs on a list of level codes")
             verdicts[method] = thm1_check(obj).as_json(include_timing)
         elif method == "thm4":
             if isinstance(obj, catalog.LeechMainCode):
                 verdicts[method] = thm4_check_leech(obj).as_json(include_timing)
-            elif isinstance(obj, MainCode):
-                verdicts[method] = thm4_check(obj).as_json(include_timing)
             else:
-                continue  # structural test needs a main code
+                verdicts[method] = thm4_check(obj).as_json(include_timing)
         elif method == "thm5":
-            if not isinstance(obj, (MainCode, catalog.LeechMainCode)):
-                continue
             verdicts[method] = thm5_check(obj).as_json(include_timing)
         elif method == "brute":
             verdicts[method] = brute_closure_oracle(lift()).as_json(include_timing)

@@ -23,11 +23,11 @@ from .constructions import (
     _bit_matrix,
     antiprojection,
     construction_cstar,
-    rep_keys,
 )
 from .gf2 import BinaryCode, BitWord, as_word
 
 _BLOCK = 1024  # a block x block int64 scan temporary is 8 MiB
+_KEY_BITS = 63  # one composition-key chunk fills a nonnegative int64
 
 
 @dataclass(frozen=True)
@@ -257,28 +257,92 @@ def _residue_spectrum(residue: tuple[int, ...], q: int, r2: int) -> np.ndarray:
     return acc
 
 
+def _composition_weights(n: int, q: int) -> list[np.ndarray]:
+    """Per-residue int64 weights whose sums over n coordinates key a residue
+    composition: how many coordinates have each centered magnitude min(r, q - r).
+
+    The magnitudes 1..q/2 are cut into chunks [lo, lo + width) with
+    (n + 1)^width <= 2^_KEY_BITS; in its chunk's table magnitude v weighs
+    (n + 1)^(v - lo), so a chunk's sum is the base-(n + 1) number of its
+    counts and fits an int64.  Magnitude 0 weighs nothing: its count is n
+    minus the others.  One chunk covers L <= 4 up to n = 233 and L = 5 up
+    to n = 14.
+    """
+    width = 1
+    while (n + 1) ** (width + 1) <= 1 << _KEY_BITS:
+        width += 1
+    mags = [min(r, q - r) for r in range(q)]
+    return [
+        np.array([(n + 1) ** (v - lo) if lo <= v < lo + width else 0 for v in mags], dtype=np.int64)
+        for lo in range(1, q // 2 + 1, width)
+    ]
+
+
+def _densify(key: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Overwrite ``key`` with dense ids 0..u-1 of its distinct values, in
+    sorted order, and return one flat index of each.
+
+    np.unique(return_inverse=True) with the sorted copy kept in ``scratch``
+    and the ids written back into ``key``: the only new block-sized array is
+    the argsort permutation.
+    """
+    flat = key.reshape(-1)
+    perm = np.argsort(flat)
+    ids = np.take(flat, perm, out=scratch.reshape(-1), mode="clip")
+    new = np.empty(len(flat), dtype=bool)
+    new[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    np.cumsum(new, out=ids)
+    ids -= 1
+    flat[perm] = ids
+    return perm[new]
+
+
 def _spectra(constellation: PeriodicConstellation, rows: np.ndarray, r2: int) -> np.ndarray:
     """Row k: distance-squared counts up to r2 from rows[k] to every point.
 
     ``rows`` are reps; each one's own zero-distance point is not counted.
-    Each row block holds about _BLOCK^2 base-q keys of the differences
-    (rep - row) mod q, folded one coordinate at a time; each distinct key of
-    a block is expanded once into its residue spectrum.
+    The spectrum of a difference (rep - row) mod q depends only on its
+    residue composition.  Each row block holds about _BLOCK^2 int64
+    composition keys, summed one coordinate at a time from
+    _composition_weights (the keys of several chunks are merged through
+    their dense ids), and each distinct composition of a block, at most
+    C(n + q/2, q/2) of them, is expanded once into its residue spectrum.
     """
     q, n = constellation.q, constellation.n
-    reps = constellation.rep_array()
-    step = max(1, _BLOCK * _BLOCK // len(reps))
-    shifts = np.uint64(constellation.L) * np.arange(n - 1, -1, -1, dtype=np.uint64)
+    reps = constellation.rep_array().astype(np.int16)
+    rows = rows.astype(np.int16)
+    m = len(reps)
+    step = max(1, _BLOCK * _BLOCK // m)
+    chunks = _composition_weights(n, q)
+    shape = (min(step, len(rows)), m)
+    diff_buf = np.empty(shape, dtype=np.int16)
+    part_buf = np.empty(shape, dtype=np.int64)
+    key_buf = np.empty(shape, dtype=np.int64)
     spectra = np.empty((len(rows), r2 + 1), dtype=np.int64)
     for i in range(0, len(rows), step):
         block = rows[i : i + step]
-        keys = rep_keys(((reps[:, j] - block[:, j, None]) & (q - 1) for j in range(n)), q)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        residues = (uniq[:, None] >> shifts) & np.uint64(q - 1)
+        size = len(block)
+        diff, part, key = diff_buf[:size], part_buf[:size], key_buf[:size]
+        for c, weights in enumerate(chunks):
+            key.fill(0)
+            for j in range(n):
+                np.subtract(reps[:, j], block[:, j, None], out=diff)
+                diff &= q - 1
+                # every index is in range; mode "raise" would also copy
+                # into a temporary and run about 10x slower on int16 indices
+                key += np.take(weights, diff, out=part, mode="clip")
+            if c:  # pair this chunk's ids with the composition so far
+                _densify(key, part)
+                key += before * (key.max() + 1)
+            first = _densify(key, part)
+            before = key.copy() if c + 1 < len(chunks) else None
+        row, col = np.divmod(first, m)
+        residues = (reps[col] - block[row]) & (q - 1)
         table = np.array([_residue_spectrum(r, q, r2) for r in residues.tolist()])
-        flat = inverse.reshape(keys.shape) + len(uniq) * np.arange(len(block))[:, None]
-        counts = np.bincount(flat.ravel(), minlength=len(block) * len(uniq))
-        spectra[i : i + step] = counts.reshape(len(block), len(uniq)) @ table
+        key += len(first) * np.arange(size)[:, None]
+        counts = np.bincount(key.reshape(-1), minlength=size * len(first))
+        spectra[i : i + step] = counts.reshape(size, len(first)) @ table
     spectra[:, 0] -= 1
     return spectra
 
@@ -289,8 +353,6 @@ def distance_spectrum(
     """Exact N(rep, d) for all d <= radius, counting every translate."""
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    if constellation.n > 16:
-        raise ValueError("spectrum enumeration budget supports n <= 16")
     rep_t = tuple(int(c) for c in rep)
     if not constellation.has_rep(rep_t):
         raise ValueError(f"{rep_t} is not a representative of the constellation")

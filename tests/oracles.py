@@ -91,6 +91,25 @@ def oracle_spectrum(
     return counts
 
 
+def oracle_eds(constellation: PeriodicConstellation, radius: float):
+    """eds_check's verdict and witness, re-derived from oracle_spectrum."""
+    P = constellation
+    spectra = [oracle_spectrum(P, rep, radius) for rep in P.reps]
+    if all(s == spectra[0] for s in spectra):
+        return True, None
+    d2 = min(d for d in set().union(*spectra) if len({s.get(d, 0) for s in spectra}) > 1)
+    col = [s.get(d2, 0) for s in spectra]
+    hi = col.index(max(col))
+    lo = len(col) - 1 - col[::-1].index(min(col))
+    return False, {
+        "d2": d2,
+        "rep_max": list(P.reps[hi]),
+        "count_max": col[hi],
+        "rep_min": list(P.reps[lo]),
+        "count_min": col[lo],
+    }
+
+
 def oracle_is_lattice(constellation: PeriodicConstellation) -> bool:
     """Plain-Python group test on the rep set."""
     q, n = constellation.q, constellation.n

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from codelat.cli import main, table1_rows
+from codelat.constructions import PeriodicConstellation
+from oracles import oracle_eds
 
 
 def run_cli(capsys, *argv):
@@ -206,12 +208,37 @@ def test_check_rejects_repeated_rep(capsys, tmp_path):
     assert "repeated" in err
 
 
-def test_check_eds_beyond_key_width_exits_2(capsys, tmp_path):
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"n": 33, "L": 2, "q": 4, "reps": [[0] * 33, [1] * 33]}))
-    code, out, err = run_cli(capsys, "check", "--eds", "--constellation", str(path))
+def test_check_eds_beyond_key_width_matches_oracle(capsys, tmp_path):
+    # q^n = 2^66: the spectra are keyed by residue composition, not by
+    # residue; radius 2 keeps the oracle at one translate per coordinate
+    e1 = (1,) + (0,) * 32
+    verdicts = []
+    for reps in (((0,) * 33, (1,) * 33), ((0,) * 33, e1, (2,) + (0,) * 32)):
+        P = PeriodicConstellation(n=33, L=2, q=4, reps=reps)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(P.to_json()))
+        code, out, _ = run_cli(
+            capsys, "check", "--eds", "--radius", "2", "--constellation", str(path)
+        )
+        assert code == 0
+        holds, witness = oracle_eds(P, 2)
+        assert json.loads(out)["eds"] == {"holds": holds, "witness": witness}
+        verdicts.append(holds)
+    assert verdicts == [True, False]
+
+
+@pytest.mark.parametrize(
+    "method, catalog_id, message",
+    [
+        ("thm4", "ex1", "thm4 runs on a main code"),
+        ("thm5", "ex1", "thm5 runs on a main code"),
+        ("thm1", "ex9", "thm1 runs on a list of level codes"),
+    ],
+)
+def test_check_lattice_method_on_wrong_input_exits_2(capsys, method, catalog_id, message):
+    code, out, err = run_cli(capsys, "check", "--lattice", method, "--catalog", catalog_id)
     assert code == 2 and out == ""
-    assert "2^64" in err
+    assert err == f"error: {message}\n"
 
 
 # {0, 3, 5, 6, 9, 17, 30}: seven words, so not a linear code

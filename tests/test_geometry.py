@@ -27,6 +27,7 @@ from codelat.geometry import (
 )
 from codelat.gf2 import BinaryCode, BitWord, enumerate_from_generator
 from oracles import (
+    oracle_eds,
     oracle_min_distance_squared,
     oracle_nearest_squared,
     oracle_spectrum,
@@ -366,23 +367,6 @@ def _small_lifts(rng: np.random.Generator, count: int) -> list[PeriodicConstella
     return lifts
 
 
-def _eds_expectation(P: PeriodicConstellation, spectra: list[dict[int, int]]):
-    """eds_check's verdict and witness, re-derived from per-rep spectra."""
-    if all(s == spectra[0] for s in spectra):
-        return True, None
-    d2 = min(d for d in set().union(*spectra) if len({s.get(d, 0) for s in spectra}) > 1)
-    col = [s.get(d2, 0) for s in spectra]
-    hi = col.index(max(col))
-    lo = len(col) - 1 - col[::-1].index(min(col))
-    return False, {
-        "d2": d2,
-        "rep_max": list(P.reps[hi]),
-        "count_max": col[hi],
-        "rep_min": list(P.reps[lo]),
-        "count_min": col[lo],
-    }
-
-
 @pytest.mark.parametrize("block", [2, 3])
 def test_scans_across_block_boundaries(monkeypatch, block):
     monkeypatch.setattr(geometry, "_BLOCK", block)
@@ -398,10 +382,82 @@ def test_scans_across_block_boundaries(monkeypatch, block):
         rows = geometry._spectra(P, P.rep_array(), int(radius * radius))
         assert [{d: int(c) for d, c in enumerate(row) if c and d} for row in rows] == expected
         eds = eds_check(P, radius)
-        assert eds == _eds_expectation(P, expected)
+        assert eds == oracle_eds(P, radius)
         verdicts.add(("equi", not late))
         verdicts.add(("eds", eds[0]))
     assert verdicts == {("equi", True), ("equi", False), ("eds", True), ("eds", False)}
+
+
+@pytest.mark.parametrize("block", [2, 3])
+def test_scans_across_block_boundaries_one_magnitude_per_chunk(monkeypatch, block):
+    # (n + 1)^2 > 2^0: each magnitude gets its own key chunk, so every
+    # composition goes through the chunk merge
+    monkeypatch.setattr(geometry, "_KEY_BITS", 0)
+    assert len(geometry._composition_weights(3, 8)) == 4
+    test_scans_across_block_boundaries(monkeypatch, block)
+
+
+def _sparse_constellation(rng, n: int, L: int, group: bool) -> PeriodicConstellation:
+    """The multiples of one point of support <= 3 (a cyclic group, so EDS
+    holds), or zero plus a few random such points."""
+    q = 1 << L
+
+    def sparse_point():
+        point = np.zeros(n, dtype=np.int64)
+        support = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+        point[support] = rng.integers(1, q, size=len(support))
+        return point
+
+    if group:
+        point = sparse_point()
+        points = [k * point % q for k in range(q)]
+    else:
+        points = [np.zeros(n, dtype=np.int64)]
+        points += [sparse_point() for _ in range(int(rng.integers(1, 6)))]
+    reps = sorted({tuple(int(c) for c in p) for p in points})
+    return PeriodicConstellation(n=n, L=L, q=q, reps=tuple(reps))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_spectra_match_oracle_by_composition(L):
+    # C* lifts up to radius 2q, and sparse constellations past n*L = 64 at a
+    # radius below q, where the oracle's translate boxes stay small
+    rng = np.random.default_rng(167 + L)
+    q = 1 << L
+    cases = []
+    for _ in range(8):
+        n = int(rng.integers(1, 4))
+        main = random_linear_main_code(rng, n, L, int(rng.integers(0, min(n * L, 6) + 1)))
+        cases.append((construction_cstar(main), float(rng.integers(1, 2 * q + 1))))
+    for t in range(8):
+        n = int(rng.integers(64 // L + 1, 64 // L + 9))
+        P = _sparse_constellation(rng, n, L, group=t % 2 == 0)
+        cases.append((P, float(rng.integers(1, q) if q > 2 else 1)))
+    verdicts = set()
+    for P, radius in cases:
+        rows = geometry._spectra(P, P.rep_array(), int(radius * radius))
+        expected = [oracle_spectrum(P, rep, radius) for rep in P.reps]
+        assert [{d: int(c) for d, c in enumerate(row) if c and d} for row in rows] == expected
+        eds = eds_check(P, radius)
+        assert eds == oracle_eds(P, radius)
+        verdicts.add(eds[0])
+    assert verdicts == {True, False}
+    assert any(P.n * L > 64 for P, _ in cases)
+
+
+def test_spectrum_scan_memory_is_bounded():
+    # 1024 reps at n=6, L=2: one 1024 x 1024 block of composition keys
+    rng = np.random.default_rng(163)
+    gens = [(1 << i) | (int(rng.integers(0, 1 << 2)) << 10) for i in range(10)]
+    P = construction_cstar(MainCode(enumerate_from_generator(gens, n=12), 6, 2))
+    assert len(P) == 1024
+    tracemalloc.start()
+    try:
+        eds_check(P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_nearest_scan_memory_is_bounded():
@@ -424,6 +480,6 @@ def test_eds_keys_up_to_q_pow_n_2_64():
     # Construction A of a 64-bit code: q^n = 2^64 exactly, keys still exact
     P = construction_a(BinaryCode(64, [0, (1 << 64) - 1]))
     assert eds_check(P, 2) == (True, None)
+    # past q^n = 2^64 the composition keys still answer
     wide = PeriodicConstellation(n=33, L=2, q=4, reps=((0,) * 33, (1,) * 33))
-    with pytest.raises(ValueError, match="2\\^64"):
-        eds_check(wide)
+    assert eds_check(wide, 2) == oracle_eds(wide, 2) == (True, None)
