@@ -142,7 +142,7 @@ def _resolve_input(args):
             return catalog.golay24()
         if cid == "dnplus":
             if args.n is None:
-                raise SystemExit("--catalog dnplus requires --n")
+                raise ValueError("--catalog dnplus requires --n")
             codes, _ = catalog.dn_plus(args.n)
             return list(codes)
         return catalog.worked_example(cid)
@@ -151,10 +151,10 @@ def _resolve_input(args):
             return PeriodicConstellation.from_json(json.load(fh))
     codes = _load_codes(args)
     if not codes:
-        raise SystemExit("no input: pass --catalog, --constellation or --code")
+        raise ValueError("no input: pass --catalog, --constellation or --code")
     if len(codes) == 1 and args.L and args.L > 1:
         if args.n is None:
-            raise SystemExit("a main code file needs --n and --L")
+            raise ValueError("a main code file needs --n and --L")
         return MainCode(codes[0], args.n, args.L)
     return codes
 
@@ -163,7 +163,7 @@ def _as_constellation(obj, kind: str | None, cap: int) -> PeriodicConstellation:
     if isinstance(obj, PeriodicConstellation):
         return obj
     if isinstance(obj, catalog.LeechMainCode):
-        raise SystemExit(
+        raise ValueError(
             "the Leech main code is structured; use the leech command"
         )
     if isinstance(obj, MainCode):
@@ -176,7 +176,7 @@ def _as_constellation(obj, kind: str | None, cap: int) -> PeriodicConstellation:
         if kind == "d":
             return construction_d(obj, cap=cap)
         return construction_c(obj, cap=cap)
-    raise SystemExit(f"cannot lift input of type {type(obj).__name__}")
+    raise ValueError(f"cannot lift input of type {type(obj).__name__}")
 
 
 def cmd_construct(args) -> int:

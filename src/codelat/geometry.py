@@ -282,13 +282,43 @@ def _densify(key: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Overwrite ``key`` with dense ids 0..u-1 of its distinct values, in
     sorted order, and return one flat index of each.
 
-    np.unique(return_inverse=True) with the sorted copy kept in ``scratch``
-    and the ids written back into ``key``: the only new block-sized array is
-    the argsort permutation.
+    ``key`` is non-negative.  When its range fits in ``scratch``'s length
+    the ids come from an occupancy table held there, with no sort;
+    otherwise from a sort.  Neither path allocates a new block-sized
+    array but the sort's argsort permutation.
     """
     flat = key.reshape(-1)
+    width = int(flat.max()) + 1
+    if width <= len(flat):
+        return _densify_by_table(flat, scratch.reshape(-1)[:width])
+    return _densify_by_sort(flat, scratch.reshape(-1))
+
+
+def _densify_by_table(flat: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """_densify of keys below len(table): ``table`` first holds one position
+    of each key (-1 where absent; whichever write of a repeated key lands
+    is a valid position), then each key's id.  Positions and ids go
+    through slices of the keys, so the temporaries stay slice-sized."""
+    step = max(_BLOCK, _BLOCK * _BLOCK // 16)
+    table.fill(-1)
+    for s in range(0, len(flat), step):
+        part = flat[s : s + step]
+        table[part] = np.arange(s, s + len(part))
+    seen = table >= 0
+    first = table[seen]
+    np.cumsum(seen, out=table)
+    table -= 1
+    for s in range(0, len(flat), step):
+        part = flat[s : s + step]
+        part[:] = table[part]
+    return first
+
+
+def _densify_by_sort(flat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """_densify by np.unique(return_inverse=True) with the sorted copy kept
+    in ``scratch`` and the ids written back into ``flat``."""
     perm = np.argsort(flat)
-    ids = np.take(flat, perm, out=scratch.reshape(-1), mode="clip")
+    ids = np.take(flat, perm, out=scratch, mode="clip")
     new = np.empty(len(flat), dtype=bool)
     new[0] = True
     np.not_equal(ids[1:], ids[:-1], out=new[1:])

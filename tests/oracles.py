@@ -12,6 +12,7 @@ import math
 import time
 from typing import Sequence
 
+import mpmath as mp
 import numpy as np
 
 from codelat.catalog import golay_b_matrix
@@ -465,3 +466,10 @@ def compare_cstar_vs_c(
         product *= len(code)
     ratio = math.log2(product) - math.log2(len(main))
     return compare_from_logs(main.n, d1_squared, d2_squared, ratio)
+
+
+def oracle_chi2_sf(stat: float, dof: int) -> float:
+    """Chi-square upper tail Q(dof/2, stat/2): mpmath's regularized upper
+    incomplete gamma at 50 digits."""
+    with mp.workdps(50):
+        return float(mp.gammainc(mp.mpf(dof) / 2, mp.mpf(stat) / 2, mp.inf, regularized=True))

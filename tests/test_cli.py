@@ -303,3 +303,22 @@ def test_threads_flag_parses_without_effect(capsys):
         capsys, "--threads", "4", "check", "--lattice", "thm4", "--catalog", "leech"
     )
     assert code == 0 and threaded == plain
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--catalog", "dnplus"], "--catalog dnplus requires --n"),
+        (["--catalog", "leech"], "the Leech main code is structured; use the leech command"),
+        ([], "no input: pass --catalog, --constellation or --code"),
+        (["--code", "{main}", "--L", "2"], "a main code file needs --n and --L"),
+        (["--catalog", "golay24"], "cannot lift input of type BinaryCode"),
+    ],
+)
+def test_input_usage_errors_exit_2(capsys, tmp_path, argv, message):
+    path = tmp_path / "main.code"
+    path.write_text("4 *\n0 0 0 0\n1 1 0 0\n")
+    argv = [a.replace("{main}", str(path)) for a in argv]
+    code, out, err = run_cli(capsys, "check", "--eds", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from codelat import catalog
 from codelat.ensembles import (
     EnsembleConfig,
+    _chi2_sf,
     binary_entropy,
     condition_checks,
     empirical_dmin_ensemble,
@@ -22,6 +25,7 @@ from codelat.ensembles import (
     scaled_point_density,
 )
 from codelat.gf2 import BinaryCode
+from oracles import oracle_chi2_sf
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -33,6 +37,70 @@ def test_import_leaves_scipy_stats_unloaded():
         check=True,
         timeout=60,
     )
+
+
+def test_no_scipy_at_runtime():
+    # with scipy blocked before codelat is imported, each command prints the
+    # same bytes as a normal run
+    from codelat.cli import main
+
+    script = "import sys; sys.modules['scipy'] = None; from codelat.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv in (["conditions", "--trials", "20000", "--seed", "3"], ["table1"], ["leech"]):
+        blocked = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert blocked.returncode == 0, blocked.stderr
+        normal = io.StringIO()
+        with contextlib.redirect_stdout(normal):
+            assert main(argv) == 0
+        assert blocked.stdout == normal.getvalue()
+
+
+def _condition_dofs() -> set[int]:
+    """Every dof condition_checks can produce: cells - 1 and (cells - 1)^2
+    for the alphabets it accepts, cells = q^n <= 256."""
+    cells = [2**b for b in range(1, 9)]
+    return {c - 1 for c in cells} | {(c - 1) ** 2 for c in cells}
+
+
+def test_chi2_sf_matches_incomplete_gamma():
+    checked = 0
+    for dof in sorted(_condition_dofs() | set(range(1, 65))):
+        spread = math.sqrt(2 * dof)
+        stats = [1e-300, 1e-12, 1e-3, dof / 50, dof - spread, dof, dof + spread]
+        stats += [dof + 8 * spread + 10, 40.0 * dof + 200]
+        assert _chi2_sf(0.0, dof) == 1.0
+        for stat in stats:
+            if stat <= 0:
+                continue
+            expected = oracle_chi2_sf(stat, dof)
+            got = _chi2_sf(stat, dof)
+            assert 0.0 <= got <= 1.0
+            if expected < 1e-300:
+                assert got < 1e-290
+                continue
+            assert got == pytest.approx(expected, rel=1e-9), (stat, dof)
+            checked += 1
+    assert checked > 550
+
+
+def test_chi2_sf_underflows_to_zero():
+    for dof in (1, 2, 15, 225, 65025):
+        assert oracle_chi2_sf(100.0 * dof + 2000, dof) < 1e-300
+        assert _chi2_sf(100.0 * dof + 2000, dof) == 0.0
+
+
+@pytest.mark.parametrize("n, L", [(2, 2), (1, 1), (4, 2)])
+def test_condition_checks_p_values_match_scipy(n, L):
+    from scipy.stats import chi2
+
+    for seed in range(10):
+        report = condition_checks(EnsembleConfig(n=n, L=L, rate=0.5, seed=seed), trials=20000)
+        for result in (report.marginal_uniform, report.pair_independent, report.pair_shared_lsb):
+            expected = float(chi2.sf(result.statistic, result.dof))
+            assert result.p_value == pytest.approx(expected, rel=1e-9, abs=1e-300)
 
 
 def test_sample_main_code_deterministic():

@@ -367,6 +367,34 @@ def _small_lifts(rng: np.random.Generator, count: int) -> list[PeriodicConstella
     return lifts
 
 
+def _densify_through(path):
+    """geometry._densify forced down one path: the sort, or the occupancy
+    table given a table as wide as the key range (wider than the block
+    when the dispatch would sort; ranges past 2^20 keys still sort)."""
+
+    def densify(key, scratch):
+        flat = key.reshape(-1)
+        width = int(flat.max()) + 1
+        if path == "table" and width <= 1 << 20:
+            return geometry._densify_by_table(flat, np.empty(width, dtype=np.int64))
+        return geometry._densify_by_sort(flat, scratch.reshape(-1))
+
+    return densify
+
+
+DENSIFY_PATHS = (None, "table", "sort")  # None: the width dispatch
+
+
+def _assert_spectra_on_each_densify_path(monkeypatch, P, radius, expected, expected_eds):
+    for path in DENSIFY_PATHS:
+        with monkeypatch.context() as patch:
+            if path:
+                patch.setattr(geometry, "_densify", _densify_through(path))
+            rows = geometry._spectra(P, P.rep_array(), int(radius * radius))
+            assert [{d: int(c) for d, c in enumerate(row) if c and d} for row in rows] == expected
+            assert eds_check(P, radius) == expected_eds
+
+
 @pytest.mark.parametrize("block", [2, 3])
 def test_scans_across_block_boundaries(monkeypatch, block):
     monkeypatch.setattr(geometry, "_BLOCK", block)
@@ -379,10 +407,8 @@ def test_scans_across_block_boundaries(monkeypatch, block):
         assert equi_min_distance_check(P) == ((False, late[0]) if late else (True, None))
         radius = float(P.q)
         expected = [oracle_spectrum(P, rep, radius) for rep in P.reps]
-        rows = geometry._spectra(P, P.rep_array(), int(radius * radius))
-        assert [{d: int(c) for d, c in enumerate(row) if c and d} for row in rows] == expected
-        eds = eds_check(P, radius)
-        assert eds == oracle_eds(P, radius)
+        eds = oracle_eds(P, radius)
+        _assert_spectra_on_each_densify_path(monkeypatch, P, radius, expected, eds)
         verdicts.add(("equi", not late))
         verdicts.add(("eds", eds[0]))
     assert verdicts == {("equi", True), ("equi", False), ("eds", True), ("eds", False)}
@@ -419,7 +445,7 @@ def _sparse_constellation(rng, n: int, L: int, group: bool) -> PeriodicConstella
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
-def test_spectra_match_oracle_by_composition(L):
+def test_spectra_match_oracle_by_composition(monkeypatch, L):
     # C* lifts up to radius 2q, and sparse constellations past n*L = 64 at a
     # radius below q, where the oracle's translate boxes stay small
     rng = np.random.default_rng(167 + L)
@@ -435,11 +461,9 @@ def test_spectra_match_oracle_by_composition(L):
         cases.append((P, float(rng.integers(1, q) if q > 2 else 1)))
     verdicts = set()
     for P, radius in cases:
-        rows = geometry._spectra(P, P.rep_array(), int(radius * radius))
         expected = [oracle_spectrum(P, rep, radius) for rep in P.reps]
-        assert [{d: int(c) for d, c in enumerate(row) if c and d} for row in rows] == expected
-        eds = eds_check(P, radius)
-        assert eds == oracle_eds(P, radius)
+        eds = oracle_eds(P, radius)
+        _assert_spectra_on_each_densify_path(monkeypatch, P, radius, expected, eds)
         verdicts.add(eds[0])
     assert verdicts == {True, False}
     assert any(P.n * L > 64 for P, _ in cases)
