@@ -139,7 +139,7 @@ def _resolve_input(args):
         if cid == "leech":
             return catalog.leech_main_code()
         if cid == "golay24":
-            return catalog.golay24()
+            return [catalog.golay24()]
         if cid == "dnplus":
             if args.n is None:
                 raise ValueError("--catalog dnplus requires --n")

@@ -187,6 +187,16 @@ def rep_keys(columns: Iterable[np.ndarray], q: int) -> np.ndarray:
     return np.asarray(key)
 
 
+def _lane_sub(a: np.ndarray, b: np.ndarray, high) -> np.ndarray:
+    """(a - b) mod 2^L in every L-bit lane of packed unsigned keys.
+
+    ``high`` holds the top bit of each lane, in the keys' dtype.  Setting it
+    in ``a`` and clearing it in ``b`` keeps every lane's borrow inside that
+    lane; the XOR then puts back the top bit the lane difference should have.
+    """
+    return ((a | high) - (b & ~high)) ^ ((a ^ ~b) & high)
+
+
 def _bit_matrix(words, n: int) -> np.ndarray:
     """(len(words), n) int32 0/1 matrix of int-packed words, coordinate j in column j."""
     arr = np.asarray(words, dtype=np.uint64)
@@ -309,7 +319,7 @@ def construction_d(
     q = 1 << L
     basis_rows = _bit_matrix(basis, n)
     # Per-level integer spans of the first k_i basis vectors, grown
-    # incrementally; duplicates are collapsed only at the very end.
+    # incrementally.
     level_span = np.zeros((1, n), dtype=np.int32)
     spans: list[np.ndarray] = []
     used = 0
@@ -325,8 +335,10 @@ def construction_d(
         acc = (acc[:, None, :] + (span.astype(np.int64) << i)[None, :, :]).reshape(
             -1, n
         )
-    reps = np.unique(np.mod(acc, q), axis=0)
-    return PeriodicConstellation(n=n, L=L, q=q, reps=reps, source="D")
+    # no two expansions meet mod q: mod 2 the level-1 sum fixes its 0/1
+    # combination of independent basis vectors, then mod 4 the level-2 sum,
+    # and so on; the constellation sorts the reps (and would reject a repeat)
+    return PeriodicConstellation(n=n, L=L, q=q, reps=np.mod(acc, q), source="D")
 
 
 def projection_codes(main: MainCode) -> list[BinaryCode]:

@@ -21,12 +21,14 @@ from .constructions import (
     MainCode,
     PeriodicConstellation,
     _bit_matrix,
+    _lane_sub,
     antiprojection,
     construction_cstar,
+    rep_keys,
 )
 from .gf2 import BinaryCode, BitWord, as_word
 
-_BLOCK = 1024  # a block x block int64 scan temporary is 8 MiB
+_BLOCK = 1024  # pair tiles of _BLOCK/16 x 4*_BLOCK; spectrum blocks of ~_BLOCK^2 keys
 _KEY_BITS = 63  # one composition-key chunk fills a nonnegative int64
 
 
@@ -77,34 +79,92 @@ def centered_residue(value: int, q: int) -> int:
     return r if r <= q // 2 else r - q
 
 
+def _tile() -> tuple[int, int]:
+    """Rows x columns of one pair tile: 64 x 4096 at _BLOCK = 1024."""
+    return -(-_BLOCK // 16), 4 * _BLOCK
+
+
+def _lane_chunks(reps: np.ndarray, L: int) -> tuple[np.ndarray, np.uint16]:
+    """Lane-packed chunk keys of the rows of ``reps`` (coordinates in [0, 2^L)).
+
+    The coordinates are cut into chunks of min(16 // L, n) L-bit lanes, each
+    chunk packed into one uint16 (``rep_keys`` of its columns).  Returns the
+    (chunks, len(reps)) keys and the mask of every lane's top bit, for
+    ``_lane_sub``.  A short last chunk's missing lanes read as residue 0.
+    """
+    n = reps.shape[1]
+    lanes = min(16 // L, n)
+    cols = reps.T
+    keys = np.array([rep_keys(cols[s : s + lanes], 1 << L) for s in range(0, n, lanes)])
+    high = sum(1 << (j * L + L - 1) for j in range(lanes))
+    return keys.astype(np.uint16), np.uint16(high)
+
+
+def _lane_table(weights: np.ndarray, high: np.uint16) -> np.ndarray:
+    """Per-residue ``weights`` (length 2^L, weights[0] = 0) summed over the
+    lanes (the set bits of ``high``) of every chunk difference: q^lanes <=
+    2^16 entries of the weights' dtype."""
+    table = np.zeros(1, dtype=weights.dtype)
+    for _ in range(int(high).bit_count()):  # one more lane, most significant
+        table = np.add.outer(weights, table).ravel()
+    return table
+
+
+def _pair_sums(
+    a: np.ndarray, b: np.ndarray, table: np.ndarray, high: np.uint16, out: np.ndarray
+) -> None:
+    """out[i, j] = sum over chunks k of table[(a[k, i] - b[k, j]) mod q lane-wise].
+
+    ``a`` and ``b`` are chunk keys from ``_lane_chunks``, ``table`` a
+    ``_lane_table`` of out's dtype.  Each chunk of a pair costs one
+    ``_lane_sub`` and one ``take``; pairs go in tiles of ``_tile()``, so
+    the temporaries stay tile-sized.
+    """
+    rows, cols = _tile()
+    part = np.empty(min(rows, len(out)) * min(cols, out.shape[1]), dtype=out.dtype)
+    for r in range(0, len(out), rows):
+        for s in range(0, out.shape[1], cols):
+            tile = out[r : r + rows, s : s + cols]
+            sums = part[: tile.size].reshape(tile.shape)
+            for k in range(len(a)):
+                diff = _lane_sub(a[k, r : r + rows, None], b[k, s : s + cols], high)
+                # every index is in range; mode "raise" would also copy
+                # into a temporary
+                table.take(diff, out=sums if k else tile, mode="clip")
+                if k:
+                    tile += sums
+
+
 def _nearest_sq(constellation: PeriodicConstellation) -> np.ndarray:
     """Each rep's squared distance to its nearest other point, capped at q^2.
 
-    Walks the upper triangle of the rep pairs in _BLOCK x _BLOCK blocks,
-    adding one coordinate's centered square min(r, q - r)^2, with
-    r = (a_j - b_j) mod q, at a time, so memory stays at a few block-sized
-    arrays.  The accumulator is int64: n * (q/2)^2 passes 2^31 at q = 2^15.
+    Walks the upper triangle of the rep pairs in ``_tile()`` tiles; a
+    pair's distance is the ``_pair_sums`` of the centered squares
+    min(r, q - r)^2, r = (a_j - b_j) mod q.  Tiles, table and result use
+    the narrowest of uint8, uint16 and int64 that holds both the cap q^2
+    and the largest sum n * (q/2)^2.
     """
-    q, n = constellation.q, constellation.n
-    reps = constellation.rep_array().astype(np.int32)
-    m = len(reps)
-    nearest = np.full(m, q * q, dtype=np.int64)
-    for i in range(0, m, _BLOCK):
-        a = reps[i : i + _BLOCK]
-        for j in range(i, m, _BLOCK):
-            b = reps[j : j + _BLOCK]
-            d2 = np.zeros((len(a), len(b)), dtype=np.int64)
-            for col in range(n):
-                r = np.subtract.outer(a[:, col], b[:, col])
-                r &= q - 1
-                np.minimum(r, q - r, out=r)
-                r *= r
-                d2 += r
+    q, n, L = constellation.q, constellation.n, constellation.L
+    top = max(q * q, n * (q // 2) ** 2)
+    dtype = np.uint8 if top < 1 << 8 else np.uint16 if top < 1 << 16 else np.int64
+    keys, high = _lane_chunks(constellation.rep_array(), L)
+    residues = np.arange(q)
+    table = _lane_table((np.minimum(residues, q - residues) ** 2).astype(dtype), high)
+    m = keys.shape[1]
+    rows, cols = _tile()
+    nearest = np.full(m, q * q, dtype=dtype)
+    buf = np.empty(min(rows, m) * min(cols, m), dtype=dtype)
+    for i in range(0, m, rows):
+        a = keys[:, i : i + rows]
+        for j in range(i, m, cols):
+            b = keys[:, j : j + cols]
+            d2 = buf[: a.shape[1] * b.shape[1]].reshape(a.shape[1], b.shape[1])
+            _pair_sums(a, b, table, high, d2)
             if i == j:
                 np.fill_diagonal(d2, q * q)
-            rows, cols = nearest[i : i + len(a)], nearest[j : j + len(b)]
-            np.minimum(rows, d2.min(axis=1), out=rows)
-            np.minimum(cols, d2.min(axis=0), out=cols)
+            row_min, col_min = nearest[i : i + len(d2)], nearest[j : j + d2.shape[1]]
+            np.minimum(row_min, d2.min(axis=1), out=row_min)
+            np.minimum(col_min, d2.min(axis=0), out=col_min)
     return nearest
 
 
@@ -333,35 +393,30 @@ def _spectra(constellation: PeriodicConstellation, rows: np.ndarray, r2: int) ->
 
     ``rows`` are reps; each one's own zero-distance point is not counted.
     The spectrum of a difference (rep - row) mod q depends only on its
-    residue composition.  Each row block holds about _BLOCK^2 int64
-    composition keys, summed one coordinate at a time from
-    _composition_weights (the keys of several chunks are merged through
-    their dense ids), and each distinct composition of a block, at most
-    C(n + q/2, q/2) of them, is expanded once into its residue spectrum.
+    residue composition, which (row - rep) mod q shares.  Each row block
+    holds about _BLOCK^2 int64 composition keys, the ``_pair_sums`` of each
+    _composition_weights chunk (the keys of several chunks are merged through their dense ids),
+    and each distinct composition of a block, at most C(n + q/2, q/2) of
+    them, is expanded once into its residue spectrum.
     """
-    q, n = constellation.q, constellation.n
-    reps = constellation.rep_array().astype(np.int16)
-    rows = rows.astype(np.int16)
+    q, L = constellation.q, constellation.L
+    reps = constellation.rep_array()
     m = len(reps)
+    rep_chunks, high = _lane_chunks(reps, L)
+    row_chunks, _ = _lane_chunks(rows, L)
     step = max(1, _BLOCK * _BLOCK // m)
-    chunks = _composition_weights(n, q)
+    chunks = _composition_weights(constellation.n, q)
     shape = (min(step, len(rows)), m)
-    diff_buf = np.empty(shape, dtype=np.int16)
     part_buf = np.empty(shape, dtype=np.int64)
     key_buf = np.empty(shape, dtype=np.int64)
     spectra = np.empty((len(rows), r2 + 1), dtype=np.int64)
     for i in range(0, len(rows), step):
         block = rows[i : i + step]
         size = len(block)
-        diff, part, key = diff_buf[:size], part_buf[:size], key_buf[:size]
+        part, key = part_buf[:size], key_buf[:size]
         for c, weights in enumerate(chunks):
-            key.fill(0)
-            for j in range(n):
-                np.subtract(reps[:, j], block[:, j, None], out=diff)
-                diff &= q - 1
-                # every index is in range; mode "raise" would also copy
-                # into a temporary and run about 10x slower on int16 indices
-                key += np.take(weights, diff, out=part, mode="clip")
+            sums = _lane_table(weights, high)
+            _pair_sums(row_chunks[:, i : i + step], rep_chunks, sums, high, key)
             if c:  # pair this chunk's ids with the composition so far
                 _densify(key, part)
                 key += before * (key.max() + 1)

@@ -25,6 +25,7 @@ from .constructions import (
     projection_codes,
     antiprojection,
     rep_keys,
+    _lane_sub,
 )
 from .gf2 import (
     BinaryCode,
@@ -117,16 +118,6 @@ def brute_closure_oracle(
         pairs_scanned=(i + 1) * m,
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
     )
-
-
-def _lane_sub(a: np.ndarray, b: np.ndarray, high: np.uint64) -> np.ndarray:
-    """(a - b) mod 2^L in every L-bit lane of packed uint64 keys.
-
-    ``high`` holds the top bit of each lane.  Setting it in ``a`` and
-    clearing it in ``b`` keeps every lane's borrow inside that lane; the
-    XOR then puts back the top bit the lane difference should have.
-    """
-    return ((a | high) - (b & ~high)) ^ ((a ^ ~b) & high)
 
 
 def _key_lookup(keys: np.ndarray, size: int):

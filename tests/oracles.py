@@ -42,22 +42,23 @@ from codelat.packing import PackingComparison, compare_from_logs
 
 
 def oracle_nearest_squared(constellation: PeriodicConstellation) -> list[int]:
-    """Per rep, the least |r2 + q*dz - r1|^2 over other points, dz in {-1, 0, 1}^n.
+    """Per rep, the least |r2 + q*dz - r1|^2 over other points, capped at q^2.
 
-    The box holds every nearest translate of a rep in [0, q)^n and the pure
-    translates q*e_j, so the result is capped at q^2.
+    dz ranges over {-1, 0, 1} on the coordinates where r1 and r2 differ and
+    is 0 elsewhere.  That box holds every nearest translate of a rep in
+    [0, q)^n; a nonzero dz_j where the two agree costs q^2 on its own, no
+    less than the cap, which the pure translates q*e_j attain.
     """
-    q, n = constellation.q, constellation.n
-    reps = [np.array(r, dtype=np.int64) for r in constellation.reps]
-    shifts = [np.array(s, dtype=np.int64) for s in itertools.product((-1, 0, 1), repeat=n)]
+    q = constellation.q
     nearest = []
-    for i, r1 in enumerate(reps):
+    for i, r1 in enumerate(constellation.reps):
         best = q * q
-        for j, r2 in enumerate(reps):
-            for dz in shifts:
-                if i == j and not dz.any():
-                    continue
-                best = min(best, int(((r2 + q * dz - r1) ** 2).sum()))
+        for j, r2 in enumerate(constellation.reps):
+            if i == j:
+                continue
+            deltas = [b - a for a, b in zip(r1, r2) if a != b]
+            for dz in itertools.product((-1, 0, 1), repeat=len(deltas)):
+                best = min(best, sum((d + q * z) ** 2 for d, z in zip(deltas, dz)))
         nearest.append(best)
     return nearest
 

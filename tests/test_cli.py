@@ -305,6 +305,15 @@ def test_threads_flag_parses_without_effect(capsys):
     assert code == 0 and threaded == plain
 
 
+def test_golay24_catalog_is_a_one_code_list(capsys):
+    code, out, err = run_cli(capsys, "construct", "--kind", "a", "--catalog", "golay24")
+    assert code == 0
+    assert len(json.loads(out)["reps"]) == 4096 and "reps=4096" in err
+    code, out, _ = run_cli(capsys, "check", "--lattice", "thm1", "--catalog", "golay24")
+    assert code == 0
+    assert json.loads(out)["lattice"]["thm1"]["verdict"] == "lattice"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -312,7 +321,6 @@ def test_threads_flag_parses_without_effect(capsys):
         (["--catalog", "leech"], "the Leech main code is structured; use the leech command"),
         ([], "no input: pass --catalog, --constellation or --code"),
         (["--code", "{main}", "--L", "2"], "a main code file needs --n and --L"),
-        (["--catalog", "golay24"], "cannot lift input of type BinaryCode"),
     ],
 )
 def test_input_usage_errors_exit_2(capsys, tmp_path, argv, message):

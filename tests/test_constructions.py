@@ -7,6 +7,7 @@ from codelat import catalog
 from codelat.constructions import (
     MainCode,
     PeriodicConstellation,
+    _greedy_chain_basis,
     antiprojection,
     associated_construction_c,
     construction_a,
@@ -143,6 +144,34 @@ def test_construction_d_basis_independent():
         inner2 = BinaryCode(n, inner.words[::-1])
         outer2 = BinaryCode(n, outer.words[::-1])
         assert construction_d([inner2, outer2]).reps == base.reps
+
+
+def test_construction_d_reps_are_the_sorted_expansions():
+    # every 0/1 combination of each level's first k_i chain-basis vectors,
+    # summed over levels with weight 2^(i-1) and reduced mod q, collected
+    # in a set: the reps must be exactly its sorted elements, and no two
+    # combinations may meet
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        n, L = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        gens = [int(x) for x in rng.integers(1, 1 << n, size=n, dtype=np.uint64)]
+        ks = sorted(int(k) for k in rng.integers(0, n + 1, size=L))
+        codes = [
+            enumerate_from_generator(gens[:k], n=n) if k else BinaryCode(n, [0], linear=True)
+            for k in ks
+        ]
+        basis, chain = _greedy_chain_basis(codes)
+        rows = [[(w >> j) & 1 for j in range(n)] for w in basis]
+        q = 1 << L
+        points = {(0,) * n}
+        for i, k in enumerate(chain):
+            sums = {
+                tuple(sum(rows[b][j] for b in range(k) if mask >> b & 1) for j in range(n))
+                for mask in range(1 << k)
+            }
+            points = {tuple((p + (s << i)) % q for p, s in zip(pt, sm)) for pt in points for sm in sums}
+        assert construction_d(codes).reps == tuple(sorted(points))
+        assert len(points) == 1 << sum(chain)
 
 
 def test_projection_codes_examples():

@@ -400,7 +400,11 @@ def test_scans_across_block_boundaries(monkeypatch, block):
     monkeypatch.setattr(geometry, "_BLOCK", block)
     rng = np.random.default_rng(151 + block)
     verdicts = set()
-    for P in _small_lifts(rng, 15):
+    # plus one lift wider than a tile row, so columns cross tiles too
+    words = rng.choice(64, size=4 * block + 1, replace=False).tolist()
+    lifts = _small_lifts(rng, 15) + [construction_cstar(MainCode(BinaryCode(6, words), 3, 2))]
+    assert max(len(P) for P in lifts) > geometry._tile()[1]
+    for P in lifts:
         nearest = oracle_nearest_squared(P)
         assert dmin_oracle(P) == min(nearest)
         late = [rep for rep, d in zip(P.reps, nearest) if d != min(nearest)]
@@ -467,6 +471,74 @@ def test_spectra_match_oracle_by_composition(monkeypatch, L):
         verdicts.add(eds[0])
     assert verdicts == {True, False}
     assert any(P.n * L > 64 for P, _ in cases)
+
+
+def _lane_chunk_cases(rng, L: int) -> list[PeriodicConstellation]:
+    """A single rep (d_min capped at q^2), random C* lifts, sparse
+    constellations past n*L = 64 (several lane chunks) and up to 70 random
+    points at n = 2."""
+    q = 1 << L
+    cases = [PeriodicConstellation(n=3, L=L, q=q, reps=((0, 0, 0),))]
+    for _ in range(2):
+        n = int(rng.integers(1, 4))
+        main = random_linear_main_code(rng, n, L, int(rng.integers(0, min(n * L, 4) + 1)))
+        cases.append(construction_cstar(main))
+    for t in range(2):
+        n = int(rng.integers(64 // L + 1, 64 // L + 9))
+        cases.append(_sparse_constellation(rng, n, L, group=L <= 3 and t == 0))
+    points = rng.choice(q * q, size=min(q * q, 70), replace=False)
+    cases.append(PeriodicConstellation(n=2, L=L, q=q, reps=tuple((int(p) // q, int(p) % q) for p in points)))
+    return cases
+
+
+@pytest.mark.parametrize("block", [2, 3, 17])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 9])
+def test_lane_chunk_scans_match_oracles(monkeypatch, L, block):
+    # L = 9 packs one coordinate per chunk; _BLOCK = 17 gives 2 x 68 tiles,
+    # which the 70-point sets at L >= 4 cross in both directions
+    monkeypatch.setattr(geometry, "_BLOCK", block)
+    rng = np.random.default_rng(173 + 10 * L + block)
+    q = 1 << L
+    cases = _lane_chunk_cases(rng, L)
+    assert any(P.n > 16 // L for P in cases)
+    if L >= 4:
+        assert any(len(P) > geometry._tile()[1] for P in cases)
+    for P in cases:
+        nearest = oracle_nearest_squared(P)
+        assert geometry._nearest_sq(P).tolist() == nearest
+        radius = float(rng.integers(1, min(q, 9)))
+        expected = [oracle_spectrum(P, rep, radius) for rep in P.reps]
+        _assert_spectra_on_each_densify_path(monkeypatch, P, radius, expected, oracle_eds(P, radius))
+    assert dmin_oracle(cases[0]) == q * q  # a single rep meets only its translates
+
+
+@pytest.mark.parametrize(
+    "L, n, dtype",
+    [
+        (2, 63, np.uint8),  # n * (q/2)^2 = 252
+        (2, 64, np.uint16),  # 256
+        (3, 15, np.uint8),  # 240
+        (3, 16, np.uint16),  # 256
+        (4, 1, np.uint16),  # q^2 = 256
+        (7, 15, np.uint16),  # n * (q/2)^2 = 61440
+        (7, 16, np.int64),  # 65536
+        (8, 1, np.int64),  # q^2 = 65536
+    ],
+)
+def test_nearest_scan_dtype_holds_cap_and_largest_sum(L, n, dtype):
+    q = 1 << L
+    # zero and (q/2, ..., q/2): their distance n * (q/2)^2 is the largest sum
+    far = PeriodicConstellation(n=n, L=L, q=q, reps=((0,) * n, (q // 2,) * n))
+    nearest = geometry._nearest_sq(far)
+    assert nearest.dtype == dtype
+    assert nearest.tolist() == [min(q * q, n * (q // 2) ** 2)] * 2
+    rng = np.random.default_rng(179 + L * n)
+    if n >= 3:
+        P = _sparse_constellation(rng, n, L, group=False)
+    else:
+        points = rng.choice(q, size=min(q, 20), replace=False)
+        P = PeriodicConstellation(n=1, L=L, q=q, reps=tuple((int(p),) for p in points))
+    assert geometry._nearest_sq(P).tolist() == oracle_nearest_squared(P)
 
 
 def test_spectrum_scan_memory_is_bounded():
