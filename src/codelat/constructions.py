@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,48 +102,67 @@ class CarryRecord:
     s_star: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+def _is_int(c) -> bool:
+    return isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+
+
 class PeriodicConstellation:
-    """reps + q*Z^n with reps canonically sorted inside {0,...,q-1}^n."""
+    """reps + q*Z^n with reps canonically sorted inside {0,...,q-1}^n.
 
-    n: int
-    L: int
-    q: int
-    reps: tuple[tuple[int, ...], ...]
-    source: str = "custom"
+    The reps are stored once, as ``array``: a read-only (m, n) int64 array
+    in lexicographic row order.  ``reps`` is a tuple view of it.
+    """
 
-    def __post_init__(self):
-        if self.L < 1 or self.L > MAX_LEVELS:
-            raise ValueError(f"level count {self.L} outside 1..{MAX_LEVELS}")
-        if self.q != (1 << self.L):
-            raise ValueError(f"period {self.q} != 2^{self.L}")
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if len(self.reps) == 0:
+    def __init__(self, n: int, L: int, q: int, reps, source: str = "custom"):
+        if L < 1 or L > MAX_LEVELS:
+            raise ValueError(f"level count {L} outside 1..{MAX_LEVELS}")
+        if q != (1 << L):
+            raise ValueError(f"period {q} != 2^{L}")
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        # outside input keeps its Python objects, so bools, floats and
+        # strings are seen before any cast; ragged rows make a 1-d array
+        arr = reps if isinstance(reps, np.ndarray) else np.array(reps, dtype=object)
+        if arr.ndim and not len(arr):
             raise ValueError("constellation needs at least one representative")
-        arr = np.array(self.reps)  # ragged rows raise ValueError
-        if arr.ndim != 2 or arr.shape[1] != self.n:
-            raise ValueError(f"representatives are not all {self.n}-dimensional")
-        outside = ((arr < 0) | (arr >= self.q)).any(axis=1)
+        if arr.ndim != 2 or arr.shape[1] != n:
+            raise ValueError(f"representatives are not all {n}-dimensional")
+        integral = all(map(_is_int, arr.flat)) if arr.dtype == object else arr.dtype.kind in "iu"
+        if not integral:
+            bad = next(row for row in arr.tolist() if not all(map(_is_int, row)))
+            raise ValueError(f"representative {bad} has a non-integer coordinate")
+        outside = ((arr < 0) | (arr >= q)).any(axis=1)
         if outside.any():
-            raise ValueError(f"representative {arr[outside][0].tolist()} outside [0, {self.q})")
-        arr = arr.astype(np.int64)[np.lexsort(arr.T[::-1])]
+            raise ValueError(f"representative {arr[outside][0].tolist()} outside [0, {q})")
+        arr = arr.astype(np.int64)
+        arr = arr[np.lexsort(arr.T[::-1])]
         repeated = (arr[1:] == arr[:-1]).all(axis=1)
         if repeated.any():
             raise ValueError(f"representative {arr[1:][repeated][0].tolist()} is repeated")
-        coords = iter(arr.ravel().tolist())  # rows as tuples, no per-row lists
-        object.__setattr__(self, "reps", tuple(zip(*[coords] * self.n)))
+        arr.flags.writeable = False
+        self.n, self.L, self.q, self.source, self.array = n, L, q, source, arr
+
+    @cached_property
+    def reps(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted reps as tuples of Python ints, built on first read."""
+        # row by row: one flat list of all coordinates would be one large
+        # block, which leaves the heap fragmented once freed
+        return tuple(map(tuple, self.array.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PeriodicConstellation):
+            return NotImplemented
+        return (self.n, self.L, self.q, self.source) == (
+            other.n, other.L, other.q, other.source
+        ) and np.array_equal(self.array, other.array)
 
     def __len__(self) -> int:
-        return len(self.reps)
-
-    def rep_array(self) -> np.ndarray:
-        return np.array(self.reps, dtype=np.int64)
+        return len(self.array)
 
     def has_rep(self, rep: tuple[int, ...]) -> bool:
         """True iff ``rep`` is one of the sorted representatives (no reduction)."""
-        i = bisect_left(self.reps, rep)
-        return i < len(self.reps) and self.reps[i] == rep
+        i = bisect_left(self.array, rep, key=lambda row: tuple(row.tolist()))
+        return i < len(self.array) and tuple(self.array[i].tolist()) == rep
 
     def contains(self, point: Sequence[int]) -> bool:
         if len(point) != self.n:
@@ -155,15 +175,20 @@ class PeriodicConstellation:
             "L": self.L,
             "q": self.q,
             "source": self.source,
-            "reps": [list(r) for r in self.reps],
+            "reps": self.array.tolist(),
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PeriodicConstellation":
+    def from_json(cls, obj) -> "PeriodicConstellation":
+        if not isinstance(obj, dict):
+            raise ValueError("a constellation file holds one JSON object")
+        for key in ("n", "L", "q"):
+            if not _is_int(obj[key]):
+                raise ValueError(f"constellation {key} must be an integer, got {obj[key]!r}")
         return cls(
-            n=int(obj["n"]),
-            L=int(obj["L"]),
-            q=int(obj["q"]),
+            n=obj["n"],
+            L=obj["L"],
+            q=obj["q"],
             reps=obj["reps"],
             source=str(obj.get("source", "custom")),
         )

@@ -147,7 +147,7 @@ def _nearest_sq(constellation: PeriodicConstellation) -> np.ndarray:
     q, n, L = constellation.q, constellation.n, constellation.L
     top = max(q * q, n * (q // 2) ** 2)
     dtype = np.uint8 if top < 1 << 8 else np.uint16 if top < 1 << 16 else np.int64
-    keys, high = _lane_chunks(constellation.rep_array(), L)
+    keys, high = _lane_chunks(constellation.array, L)
     residues = np.arange(q)
     table = _lane_table((np.minimum(residues, q - residues) ** 2).astype(dtype), high)
     m = keys.shape[1]
@@ -216,7 +216,7 @@ def dmin_to_zero(obj: PeriodicConstellation | MainCode) -> int:
     """
     constellation = construction_cstar(obj) if isinstance(obj, MainCode) else obj
     q = constellation.q
-    reps = constellation.rep_array()
+    reps = constellation.array
     norms = (np.minimum(reps, q - reps) ** 2).sum(axis=1)
     return int(np.where(reps.any(axis=1), norms, q * q).min())
 
@@ -296,24 +296,27 @@ def dmin_upper_bound_antiprojection(main: MainCode) -> int:
 
 @lru_cache(maxsize=65536)
 def _coordinate_poly(residue: int, q: int, r2: int) -> tuple[int, ...]:
-    """Counts of (residue + q*z)^2 values up to r2, indexed by squared value."""
-    out = [0] * (r2 + 1)
+    """The squares (residue + q*z)^2 <= r2 over all integers z, one per z."""
     reach = math.isqrt(r2)
     z_lo = -((reach + residue) // q)
     z_hi = (reach - residue) // q
-    for z in range(z_lo, z_hi + 1):
-        v = residue + q * z
-        if v * v <= r2:
-            out[v * v] += 1
-    return tuple(out)
+    squares = ((residue + q * z) ** 2 for z in range(z_lo, z_hi + 1))
+    return tuple(v for v in squares if v <= r2)
 
 
 def _residue_spectrum(residue: tuple[int, ...], q: int, r2: int) -> np.ndarray:
-    """Distance-squared counts to all translates of a fixed residue class."""
+    """Distance-squared counts to all translates of a fixed residue class.
+
+    Each coordinate multiplies the count polynomial by a sum of about
+    2*sqrt(r2)/q monomials x^s: one shifted add per square s.
+    """
     acc = np.zeros(r2 + 1, dtype=np.int64)
     acc[0] = 1
     for r in residue:
-        acc = np.convolve(acc, _coordinate_poly(r, q, r2))[: r2 + 1]
+        nxt = np.zeros_like(acc)
+        for s in _coordinate_poly(r, q, r2):
+            nxt[s:] += acc[: r2 + 1 - s]
+        acc = nxt
     return acc
 
 
@@ -400,7 +403,7 @@ def _spectra(constellation: PeriodicConstellation, rows: np.ndarray, r2: int) ->
     them, is expanded once into its residue spectrum.
     """
     q, L = constellation.q, constellation.L
-    reps = constellation.rep_array()
+    reps = constellation.array
     m = len(reps)
     rep_chunks, high = _lane_chunks(reps, L)
     row_chunks, _ = _lane_chunks(rows, L)
@@ -459,7 +462,7 @@ def eds_check(
     if radius is None:
         radius = 2 * constellation.q
     r2 = int(radius * radius + 1e-9)
-    spectra = _spectra(constellation, constellation.rep_array(), r2)
+    spectra = _spectra(constellation, constellation.array, r2)
     if (spectra == spectra[0]).all():
         return True, None
     differing = np.nonzero((spectra != spectra[0]).any(axis=0))[0]
@@ -469,9 +472,9 @@ def eds_check(
     lo = len(col) - 1 - int(np.argmin(col[::-1]))
     return False, {
         "d2": d2,
-        "rep_max": list(constellation.reps[hi]),
+        "rep_max": constellation.array[hi].tolist(),
         "count_max": int(col[hi]),
-        "rep_min": list(constellation.reps[lo]),
+        "rep_min": constellation.array[lo].tolist(),
         "count_min": int(col[lo]),
     }
 
@@ -484,7 +487,7 @@ def equi_min_distance_check(
     bad = np.nonzero(per_rep != per_rep.min())[0]
     if len(bad) == 0:
         return True, None
-    return False, constellation.reps[int(bad[0])]
+    return False, tuple(constellation.array[bad[0]].tolist())
 
 
 def isometry_orbit_check(
@@ -502,11 +505,11 @@ def isometry_orbit_check(
     if pattern.n != constellation.n:
         raise ValueError("sign pattern dimension mismatch")
     q = constellation.q
-    x0 = tuple(int(c) for c in base_point)
+    x0 = [int(c) % q for c in base_point]
     if len(x0) != constellation.n:
         raise ValueError("base point dimension mismatch")
-    signs = [-1 if b else 1 for b in pattern]
-    image = set()
-    for rep in constellation.reps:
-        image.add(tuple((s * (r - x)) % q for s, r, x in zip(signs, rep, x0)))
-    return image == set(constellation.reps)
+    reps = constellation.array
+    shifted = reps - np.array(x0)
+    image = np.where(np.array(pattern.to_tuple(), dtype=bool), -shifted, shifted) % q
+    # the map is a bijection mod q, so equal sorted rows mean equal sets
+    return np.array_equal(image[np.lexsort(image.T[::-1])], reps)

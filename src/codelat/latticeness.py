@@ -80,7 +80,7 @@ def brute_closure_oracle(
     """
     t0 = time.perf_counter()
     q, n = constellation.q, constellation.n
-    reps = constellation.rep_array()
+    reps = constellation.array
     m = len(reps)
     if m * m > budget:
         raise BudgetExceededError(

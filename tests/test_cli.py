@@ -330,3 +330,28 @@ def test_input_usage_errors_exit_2(capsys, tmp_path, argv, message):
     code, out, err = run_cli(capsys, "check", "--eds", *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 2, "L": 2, "q": 4, "reps": [[0.5, 1]]}',
+         "representative [0.5, 1] has a non-integer coordinate"),
+        ('{"n": 2, "L": 2, "q": 4, "reps": [[1.9, 3.99]]}',
+         "representative [1.9, 3.99] has a non-integer coordinate"),
+        ('{"n": 2, "L": 2, "q": 4, "reps": [[0, 0], [true, 1]]}',
+         "representative [True, 1] has a non-integer coordinate"),
+        ('{"n": 2, "L": 2, "q": 4, "reps": [["0", "1"]]}',
+         "representative ['0', '1'] has a non-integer coordinate"),
+        ("[1, 2]", "a constellation file holds one JSON object"),
+        ('{"n": 2.7, "L": 2, "q": 4, "reps": [[0, 1]]}',
+         "constellation n must be an integer, got 2.7"),
+    ],
+    ids=["fraction", "truncated", "bool", "string", "array", "float-n"],
+)
+def test_malformed_constellation_file_exits_2(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "construct", "--constellation", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

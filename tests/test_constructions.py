@@ -17,7 +17,17 @@ from codelat.constructions import (
     product_main_code,
     projection_codes,
 )
+from codelat.geometry import (
+    distance_spectrum,
+    dmin_oracle,
+    dmin_to_zero,
+    eds_check,
+    equi_min_distance_check,
+    isometry_orbit_check,
+)
 from codelat.gf2 import BinaryCode, BitWord, EnumerationCapError, enumerate_from_generator
+from codelat.latticeness import brute_closure_oracle
+from codelat.packing import packing_report
 from oracles import (
     lift_word_to_point,
     oracle_antiprojection_set,
@@ -284,13 +294,21 @@ def test_constellation_rejects_malformed_reps():
         PeriodicConstellation.from_json(
             {"n": 2, "L": 1, "q": 2, "reps": [[0, 0], [1, 1], [1, 1]]}
         )
+    # coordinates are integers: no truncated floats, bools or strings
+    for reps in ([[0.5, 1]], [[0, 0], [True, 1]], [["0", "1"]], np.array([[1.0, 2.0]])):
+        with pytest.raises(ValueError, match="non-integer coordinate"):
+            PeriodicConstellation(n=2, L=2, q=4, reps=reps)
+    with pytest.raises(ValueError, match="one JSON object"):
+        PeriodicConstellation.from_json([1, 2])
+    with pytest.raises(ValueError, match="n must be an integer, got 2.7"):
+        PeriodicConstellation.from_json({"n": 2.7, "L": 2, "q": 4, "reps": [[0, 1]]})
 
 
 def test_constellation_sorts_unsorted_reps():
     P = PeriodicConstellation(n=2, L=2, q=4, reps=((3, 0), (0, 2), (0, 1), (1, 3)))
     assert P.reps == ((0, 1), (0, 2), (1, 3), (3, 0))
     assert all(type(c) is int for r in P.reps for c in r)
-    assert P.rep_array().tolist() == [list(r) for r in P.reps]
+    assert P.array.tolist() == [list(r) for r in P.reps]
     rng = np.random.default_rng(163)
     for _ in range(50):
         n = int(rng.integers(1, 5))
@@ -300,3 +318,31 @@ def test_constellation_sorts_unsorted_reps():
         rng.shuffle(shuffled)
         P = PeriodicConstellation(n=n, L=L, q=1 << L, reps=np.array(shuffled))
         assert P.reps == tuple(sorted(points))
+
+
+def test_lifts_and_scans_read_only_the_stored_array():
+    # the scans, lifts and to_json never build the reps tuple view, and
+    # the one stored array cannot be written through
+    repetition = BinaryCode.from_words(["0000", "1111"])
+    even = enumerate_from_generator([0b0011, 0b0110, 0b1100], n=4)
+    lifts = [
+        construction_a(even),
+        construction_c([repetition, even]),
+        construction_cstar(catalog.worked_example("ex9")),
+        construction_d([repetition, even]),
+    ]
+    for P in lifts:
+        brute_closure_oracle(P)
+        dmin_oracle(P)
+        equi_min_distance_check(P)
+        rep = P.array[-1].tolist()
+        distance_spectrum(P, rep, P.q)
+        eds_check(P)
+        dmin_to_zero(P)
+        packing_report(P)
+        P.to_json()
+        isometry_orbit_check(P, rep, [1] * P.n)
+        assert "reps" not in vars(P)
+        assert P.array.dtype == np.int64 and P.array.shape == (len(P), P.n)
+        with pytest.raises(ValueError, match="read-only"):
+            P.array[0, 0] = 1

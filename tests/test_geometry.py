@@ -390,7 +390,7 @@ def _assert_spectra_on_each_densify_path(monkeypatch, P, radius, expected, expec
         with monkeypatch.context() as patch:
             if path:
                 patch.setattr(geometry, "_densify", _densify_through(path))
-            rows = geometry._spectra(P, P.rep_array(), int(radius * radius))
+            rows = geometry._spectra(P, P.array, int(radius * radius))
             assert [{d: int(c) for d, c in enumerate(row) if c and d} for row in rows] == expected
             assert eds_check(P, radius) == expected_eds
 
@@ -471,6 +471,20 @@ def test_spectra_match_oracle_by_composition(monkeypatch, L):
         verdicts.add(eds[0])
     assert verdicts == {True, False}
     assert any(P.n * L > 64 for P, _ in cases)
+
+
+@pytest.mark.parametrize("L", [7, 8])
+def test_spectra_at_the_default_radius_past_l6_match_oracle(L):
+    # the default EDS radius 2q reaches r2 = 4q^2 = 2^16 and 2^18, where each
+    # coordinate polynomial has 2^(2L + 2) + 1 dense entries but at most 5 terms
+    q = 1 << L
+    radius = 2.0 * q
+    lift = construction_cstar(random_linear_main_code(np.random.default_rng(191 + L), 2, L, 2))
+    assert len(lift) == 4
+    for P in (PeriodicConstellation(n=2, L=L, q=q, reps=((0, 0), (1, 3))), lift):
+        for rep in P.reps:
+            assert distance_spectrum(P, rep, radius).entries == oracle_spectrum(P, rep, radius)
+        assert eds_check(P) == oracle_eds(P, radius)
 
 
 def _lane_chunk_cases(rng, L: int) -> list[PeriodicConstellation]:

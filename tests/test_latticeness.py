@@ -438,7 +438,7 @@ def _symmetric_set(
     q = 1 << L
     group = np.zeros((1, n), dtype=np.int64)
     if gens and n > 1:
-        sub = construction_cstar(random_lattice_main_code(rng, n - 1, L, gens)).rep_array()
+        sub = construction_cstar(random_lattice_main_code(rng, n - 1, L, gens)).array
         group = np.hstack([np.zeros((len(sub), 1), dtype=np.int64), sub])
     r = rng.integers(0, q, size=(size, n))
     r[:, 0] = rng.integers(1, q, size=size)
