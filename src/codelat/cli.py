@@ -134,6 +134,8 @@ def _load_codes(args) -> list:
 
 def _resolve_input(args):
     """Catalog id, code file(s) or constellation JSON -> library object."""
+    if args.L is not None and args.L < 1:
+        raise ValueError(f"--L must be >= 1, got {args.L}")
     if args.catalog:
         cid = args.catalog.lower()
         if cid == "leech":
@@ -243,7 +245,7 @@ def cmd_check(args) -> int:
             }
         if args.spectrum is not None:
             rep = tuple(int(tok) for tok in args.spectrum.split(","))
-            radius = args.radius if args.radius else 2 * constellation.q
+            radius = 2 * constellation.q if args.radius is None else args.radius
             report["spectrum"] = distance_spectrum(
                 constellation, rep, radius
             ).as_json()

@@ -455,12 +455,15 @@ def eds_check(
 ) -> tuple[bool, dict | None]:
     """Whether all representatives share the same distance spectrum up to radius.
 
-    Defaults to radius 2q.  On failure returns a witness at the smallest
+    Defaults to radius 2q; a radius below 1 is an error, as in
+    ``distance_spectrum``.  On failure returns a witness at the smallest
     differing squared distance: the first rep attaining the largest count
     and the last rep attaining the smallest.
     """
     if radius is None:
         radius = 2 * constellation.q
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
     r2 = int(radius * radius + 1e-9)
     spectra = _spectra(constellation, constellation.array, r2)
     if (spectra == spectra[0]).all():

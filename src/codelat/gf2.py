@@ -145,10 +145,10 @@ class BinaryCode:
 
     ``words`` is the sorted, read-only ``np.uint64`` array of the codewords;
     convert with ``.tolist()`` before Python-level loops or JSON.
-    ``linear`` is True when linearity is verified (explicit sets are checked
-    via the rank argument: a set containing zero is linear iff its size is
-    exactly 2**rank), False when verified non-linear, and None when the set
-    was too large to verify and no generator was given.
+    ``linear`` is True when linearity is verified (an explicit set of up to
+    ``LINEARITY_VERIFY_LIMIT`` words is checked in one vectorised pass, see
+    ``_verify_linearity``), False when verified non-linear, and None when
+    the set was too large to verify and no generator was given.
     """
 
     __slots__ = ("n", "words", "generator", "linear")
@@ -181,13 +181,22 @@ class BinaryCode:
         self.linear = linear
 
     def _verify_linearity(self) -> bool | None:
-        if not len(self) or self.words[0] != 0:
+        """One doubling pass: a linear code's sorted words are the XOR-doubling
+        enumeration of its fully reduced basis ``words[1 << j]``, and a set of
+        2^k distinct words that this enumeration reproduces is that span."""
+        size, words = len(self), self.words
+        if not size or words[0] != 0:
             return False
         if self.generator is not None:
             return True
-        if len(self) > LINEARITY_VERIFY_LIMIT:
+        if size > LINEARITY_VERIFY_LIMIT:
             return None  # too large to verify, flagged unverified
-        return len(self) == (1 << self.rank())
+        if size & (size - 1):
+            return False
+        return all(
+            np.array_equal(words[1 << j : 2 << j], words[: 1 << j] ^ words[1 << j])
+            for j in range(size.bit_length() - 1)
+        )
 
     @classmethod
     def from_words(cls, words: Iterable, n: int | None = None) -> "BinaryCode":
@@ -252,9 +261,20 @@ class BinaryCode:
         return (BitWord(w, self.n) for w in self.words.tolist())
 
     def basis(self) -> list[int]:
-        """A basis of the span: the reduced stored generator, else one read off the words."""
+        """A basis of the span, leading bits descending.
+
+        The reduced stored generator if there is one.  Else, for a verified
+        linear code, the fully reduced basis read off the sorted words in
+        O(k): they enumerate its span by XOR doubling, so ``words[1 << j]``
+        is its j-th word.  Else one reduced from all the words.
+        """
         gen = self.generator
-        return gf2_reduce_basis(self.words.tolist() if gen is None else gen)
+        if gen is not None:
+            return gf2_reduce_basis(gen)
+        if self.linear:
+            k = len(self).bit_length() - 1
+            return self.words[[1 << j for j in reversed(range(k))]].tolist()
+        return gf2_reduce_basis(self.words.tolist())
 
     def rank(self) -> int:
         return len(self.basis())

@@ -31,6 +31,7 @@ from .gf2 import (
     BinaryCode,
     BitWord,
     LengthMismatchError,
+    gf2_reduce_basis,
     is_nested,
 )
 
@@ -442,10 +443,13 @@ def thm4_check_leech(leech, threads: int = 1) -> LatticenessReport:
 
     The five chain inclusions come from the code structure plus two
     computed facts (the all-ones word is a Golay codeword; every Golay
-    codeword has even weight); the heavy closure step is the full scan of
-    Golay pairs checking that every Schur product has even weight, run on
-    packed 24-bit words without materialising the carry set.  ``threads``
-    is unused; it stays for callers that pass it.
+    codeword has even weight).  The closure C_2*C_2 <= S_3(0) asks that
+    every Schur product of two Golay codewords have even weight; it covers
+    the 4096 * 4097 / 2 pairs x <= y, and ``schur_parity_scan`` decides it
+    from the 12 x 12 Gram matrix of a Golay basis, without materialising
+    the carry set.  ``pairs`` and ``pairs_scanned`` report the pairs the
+    closure covers.  ``threads`` is unused; it stays for callers that pass
+    it.
     """
     t0 = time.perf_counter()
     golay = leech.golay
@@ -484,14 +488,28 @@ def thm4_check_leech(leech, threads: int = 1) -> LatticenessReport:
 
 
 def schur_parity_scan(code: BinaryCode) -> tuple[int, int]:
-    """Count codeword pairs whose Schur product has odd weight.
+    """Count the codeword pairs x <= y whose Schur product has odd weight.
 
-    Scans the upper triangle including the diagonal; returns
-    (violations, pairs scanned).
+    The closure covers the m(m+1)/2 pairs of the upper triangle, diagonal
+    included; returns (violations, pairs covered).  The parity of x & y is
+    the GF(2) inner product <x, y>, which is bilinear, so the count is
+    decided from the k x k Gram matrix G_ij = <b_i, b_j> of a basis.  With
+    r = rank(G), <x, y> = 1 on 2^(2k-1) - 2^(2k-r-1) ordered pairs (none
+    when r = 0): each x off the 2^(k-r)-word radical pairs oddly with half
+    the code.  On the diagonal <x, x> is the weight parity, a linear form,
+    odd on half the code unless every basis word has even weight.  Needs a
+    verified-linear code.
     """
-    arr = code.words
-    m = len(arr)
-    bad = 0
-    for i in range(m):
-        bad += int(np.count_nonzero(np.bitwise_count(arr[i] & arr[i:]) & 1))
-    return bad, m * (m + 1) // 2
+    if code.linear is not True:
+        raise ValueError("the Schur parity count requires a verified-linear code")
+    basis = code.basis()
+    k = len(basis)
+    gram = [
+        sum(((b & c).bit_count() & 1) << j for j, c in enumerate(basis))
+        for b in basis
+    ]
+    r = len(gf2_reduce_basis(gram))
+    ordered = (1 << (2 * k - 1)) - (1 << (2 * k - r - 1)) if r else 0
+    diagonal = 1 << (k - 1) if any(b.bit_count() & 1 for b in basis) else 0
+    m = len(code)
+    return (ordered + diagonal) // 2, m * (m + 1) // 2

@@ -24,11 +24,13 @@ from codelat.constructions import (
     rep_keys,
 )
 from codelat.gf2 import (
+    LINEARITY_VERIFY_LIMIT,
     BinaryCode,
     BitWord,
     LengthMismatchError,
     as_word,
     enumerate_from_generator,
+    gf2_reduce_basis,
 )
 from codelat.latticeness import (
     DEFAULT_PAIR_BUDGET,
@@ -467,6 +469,30 @@ def compare_cstar_vs_c(
         product *= len(code)
     ratio = math.log2(product) - math.log2(len(main))
     return compare_from_logs(main.n, d1_squared, d2_squared, ratio)
+
+
+def oracle_linearity(code: BinaryCode) -> bool | None:
+    """The linearity flag by the rank argument: a set containing zero is
+    linear iff its size is exactly 2**rank, with the rank reduced from
+    every word."""
+    if not len(code) or code.words[0] != 0:
+        return False
+    if code.generator is not None:
+        return True
+    if len(code) > LINEARITY_VERIFY_LIMIT:
+        return None
+    return len(code) == 1 << len(gf2_reduce_basis(code.words.tolist()))
+
+
+def oracle_schur_parity_scan(code: BinaryCode) -> tuple[int, int]:
+    """Odd-weight Schur products over all pairs x <= y of the word list:
+    (violations, pairs scanned)."""
+    arr = code.words
+    m = len(arr)
+    bad = 0
+    for i in range(m):
+        bad += int(np.count_nonzero(np.bitwise_count(arr[i] & arr[i:]) & 1))
+    return bad, m * (m + 1) // 2
 
 
 def oracle_chi2_sf(stat: float, dof: int) -> float:

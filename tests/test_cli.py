@@ -321,6 +321,8 @@ def test_golay24_catalog_is_a_one_code_list(capsys):
         (["--catalog", "leech"], "the Leech main code is structured; use the leech command"),
         ([], "no input: pass --catalog, --constellation or --code"),
         (["--code", "{main}", "--L", "2"], "a main code file needs --n and --L"),
+        (["--code", "{main}", "--n", "2", "--L", "0"], "--L must be >= 1, got 0"),
+        (["--code", "{main}", "--n", "4", "--L", "-1"], "--L must be >= 1, got -1"),
     ],
 )
 def test_input_usage_errors_exit_2(capsys, tmp_path, argv, message):
@@ -330,6 +332,22 @@ def test_input_usage_errors_exit_2(capsys, tmp_path, argv, message):
     code, out, err = run_cli(capsys, "check", "--eds", *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--eds", "--radius", "0.5"],
+        ["--eds", "--radius", "0"],
+        ["--eds", "--radius", "-3"],
+        ["--spectrum", "1,1", "--radius", "0"],
+    ],
+    ids=["eds-half", "eds-zero", "eds-negative", "spectrum-zero"],
+)
+def test_radius_below_one_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "check", *argv, "--catalog", "ex2", "--kind", "c")
+    assert code == 2 and out == ""
+    assert err == "error: radius must be >= 1\n"
 
 
 @pytest.mark.parametrize(

@@ -256,6 +256,17 @@ def test_eds_example_witness():
     assert witness["d2"] == 2
 
 
+@pytest.mark.parametrize("radius", [0.5, 0, -3])
+def test_eds_and_spectrum_reject_radius_below_one(radius):
+    # at radius 0.5 only the rep itself is in reach, so EDS held vacuously,
+    # though the same constellation fails it at d^2 = 2
+    P = construction_c(catalog.worked_example("ex2"))
+    with pytest.raises(ValueError, match="radius must be >= 1"):
+        eds_check(P, radius)
+    with pytest.raises(ValueError, match="radius must be >= 1"):
+        distance_spectrum(P, (1, 1), radius)
+
+
 def test_eds_lattice_always_true():
     P = construction_cstar(catalog.worked_example("ex5"))
     ok, _ = eds_check(P)

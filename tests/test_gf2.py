@@ -22,6 +22,7 @@ from codelat.gf2 import (
 from codelat.latticeness import LATTICE, NOT_LATTICE, thm1_check
 from oracles import (
     carry_identity_check,
+    oracle_linearity,
     oracle_pairwise_min_hamming,
     random_linear_code,
     random_words,
@@ -182,6 +183,37 @@ def test_linearity_flags():
     assert BinaryCode(2, [0, 1, 2, 3]).linear is True
     assert BinaryCode(2, [0, 1, 2]).linear is False
     assert BinaryCode(2, [1, 2]).linear is False  # missing zero
+
+
+def test_basis_read_off_linear_words_matches_reduction():
+    rng = np.random.default_rng(113)
+    for trial in range(200):
+        n = int(rng.integers(1, 21))
+        k = int(rng.integers(0, min(n, 11) + 1)) if trial else 0
+        words = random_linear_code(rng, n, k).words
+        code = BinaryCode(n, words)  # no generator: verified from the words
+        assert code.linear is True and code.generator is None
+        assert code.basis() == gf2_reduce_basis(words.tolist())
+    # past the verify limit a caller vouches for linearity, as product codes do
+    words = random_linear_code(rng, 20, 13).words
+    assert BinaryCode(20, words, linear=True).basis() == gf2_reduce_basis(words.tolist())
+
+
+def test_linearity_flag_matches_rank_oracle():
+    rng = np.random.default_rng(127)
+    for _ in range(150):
+        n = int(rng.integers(1, 21))
+        words = random_linear_code(rng, n, int(rng.integers(0, min(n, 11) + 1))).words
+        drop = np.delete(words, int(rng.integers(0, len(words))))
+        extra = int(rng.integers(0, 1 << n))
+        sets = [words, drop, np.append(words, np.uint64(extra))]
+        # 2^j random words with zero: power-of-two size, rarely a code
+        j = int(rng.integers(1, min(n, 6) + 1))
+        sets.append([0] + random_words(rng, (1 << j) - 1, n))
+        for ws in sets:
+            if len(ws):
+                code = BinaryCode(n, ws)
+                assert code.linear == oracle_linearity(code)
 
 
 def test_code_file_roundtrip_explicit():

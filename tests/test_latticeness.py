@@ -37,6 +37,7 @@ from oracles import (
     carry_set,
     lift_word_to_point,
     oracle_is_lattice,
+    oracle_schur_parity_scan,
     random_linear_code,
     random_lattice_main_code,
     random_linear_main_code,
@@ -409,6 +410,47 @@ def test_thm4_lattice_implies_thm5_lattice():
 
 def test_schur_parity_scan_golay():
     assert schur_parity_scan(catalog.golay24()) == (0, 4096 * 4097 // 2)
+
+
+def test_schur_parity_count_matches_all_pairs_oracle():
+    rng = np.random.default_rng(131)
+    seen = set()
+    codes = [catalog.repetition_code(4), catalog.even_parity_code(5), BinaryCode(3, [0])]
+    codes += [random_linear_code(rng, int(rng.integers(1, 13)), int(rng.integers(0, 8)))
+              for _ in range(150)]
+    for code in codes:
+        basis = code.basis()
+        gram = [sum(((b & c).bit_count() & 1) << j for j, c in enumerate(basis)) for b in basis]
+        r, k = len(gf2_reduce_basis(gram)), len(basis)
+        seen.add("r=0" if r == 0 else "0<r<k" if r < k else "r=k")
+        if any(b.bit_count() & 1 for b in basis):
+            seen.add("odd basis word")
+        assert schur_parity_scan(code) == oracle_schur_parity_scan(code)
+    assert seen == {"r=0", "0<r<k", "r=k", "odd basis word"}
+
+
+def test_schur_parity_scan_requires_verified_linear_code():
+    with pytest.raises(ValueError, match="verified-linear"):
+        schur_parity_scan(BinaryCode(3, [0, 1, 2]))
+
+
+def test_thm5_on_product_code_reduces_only_basis_sized_lists(monkeypatch):
+    from codelat import gf2
+
+    full7 = enumerate_from_generator([1 << i for i in range(7)], n=7)
+    main = product_main_code([catalog.even_parity_code(7), full7])
+    assert len(main) == 1 << 13
+    sizes = []
+    reduce_basis = gf2.gf2_reduce_basis
+
+    def recorder(vectors):
+        vectors = list(vectors)
+        sizes.append(len(vectors))
+        return reduce_basis(vectors)
+
+    monkeypatch.setattr(gf2, "gf2_reduce_basis", recorder)
+    assert thm5_check(main).verdict == LATTICE
+    assert max(sizes, default=0) <= 13
 
 
 def test_construction_a_of_linear_code_is_lattice():
