@@ -30,8 +30,10 @@ from .constructions import (
 from .ensembles import EnsembleConfig, condition_checks, gvb_maximize, gvb_packing_efficiency
 from .geometry import (
     distance_spectrum,
+    dmin_formula_levels,
     dmin_oracle,
     dmin_to_zero_structured,
+    dmin_upper_bound_antiprojection,
     eds_check,
     equi_min_distance_check,
 )
@@ -39,6 +41,7 @@ from .gf2 import (
     DEFAULT_ENUMERATION_CAP,
     CodeFileError,
     EnumerationCapError,
+    gf2_min_weight,
     read_code_file,
 )
 from .latticeness import (
@@ -198,13 +201,16 @@ def cmd_check(args) -> int:
     include_timing = args.timings
     lift = functools.cache(lambda: _as_constellation(obj, args.kind, args.cap))
 
-    is_main = isinstance(obj, (MainCode, catalog.LeechMainCode))
+    is_main = isinstance(obj, MainCode)
     lattice_methods = []
     if args.lattice == "all":
-        lattice_methods = ["brute"]
-        # the code-level tests need verified-linear codes; brute needs none
+        # the code-level tests need verified-linear codes; brute needs none,
+        # but it lifts the code, so it is left out past the cap when they run
         codes = obj if isinstance(obj, list) else [obj]
-        if all(getattr(code, "linear", True) is True for code in codes):
+        linear = all(getattr(code, "linear", True) is True for code in codes)
+        too_big = is_main and linear and obj.num_words > args.cap
+        lattice_methods = [] if too_big else ["brute"]
+        if linear:
             if isinstance(obj, list):
                 lattice_methods.append("thm1")
             elif is_main:
@@ -272,14 +278,19 @@ _TABLE1_PRINTED = {
 _TABLE1_COLUMNS = ("d2_cstar", "d2_c", "delta_cstar", "delta_c", "rho_cstar", "rho_c")
 
 
+def _associated_formula(main: MainCode) -> tuple[int, int]:
+    """d_min^2 and log2 size of a linear main code's associated Construction C,
+    both from the bases of its projection codes."""
+    bases = main.projection_bases()
+    return dmin_formula_levels([gf2_min_weight(b) for b in bases]), sum(map(len, bases))
+
+
 def _leech_table_row() -> dict:
     leech = catalog.leech_main_code()
     d2_cstar = dmin_to_zero_structured(leech.prefixes(), n=24, L=3)
-    d2_c = leech.associated_dmin_formula()
+    d2_c, log2_assoc = _associated_formula(leech)
     rep_cstar = packing_report_from_counts(24, 3, leech.num_words, d2_cstar)
-    rep_c = packing_report_from_counts(
-        24, 3, 1 << leech.log2_associated_size(), d2_c
-    )
+    rep_c = packing_report_from_counts(24, 3, 1 << log2_assoc, d2_c)
     return {
         "d2_cstar": d2_cstar,
         "d2_c": d2_c,
@@ -385,18 +396,14 @@ def cmd_leech(args) -> int:
     chain_report = thm4_check_leech(leech)
     d2 = dmin_to_zero_structured(leech.prefixes(), n=24, L=3)
     pack = packing_report_from_counts(24, 3, leech.num_words, d2)
-    d2_assoc = leech.associated_dmin_formula()
-    assoc_pack = packing_report_from_counts(
-        24, 3, 1 << leech.log2_associated_size(), d2_assoc
-    )
-    compare = compare_from_logs(
-        24, d2, d2_assoc, leech.log2_associated_size() - leech.log2_size
-    )
+    d2_assoc, log2_assoc = _associated_formula(leech)
+    assoc_pack = packing_report_from_counts(24, 3, 1 << log2_assoc, d2_assoc)
+    compare = compare_from_logs(24, d2, d2_assoc, log2_assoc - len(leech.generators()))
     scan = chain_report.detail["closures"][-1]
     payload = {
         "latticeness": chain_report.as_json(args.timings),
         "dmin2": d2,
-        "dmin2_upper_bound": leech.dmin_upper_bound(),
+        "dmin2_upper_bound": dmin_upper_bound_antiprojection(leech),
         "packing": pack.as_json(),
         "associated": {
             "dmin2_formula": d2_assoc,

@@ -19,11 +19,14 @@ import numpy as np
 
 from .gf2 import (
     DEFAULT_ENUMERATION_CAP,
+    MAX_CODE_LENGTH,
     BinaryCode,
     BitWord,
     EnumerationCapError,
     LengthMismatchError,
     as_word,
+    gf2_reduce_basis,
+    gf2_residual,
     is_nested,
 )
 
@@ -33,9 +36,19 @@ KEY_BITS = 64  # rep_keys packs a point into one uint64
 
 @dataclass(frozen=True)
 class MainCode:
-    """A length n*L binary code read as L stacked level words of length n."""
+    """A length n*L binary code read as L stacked level words of length n.
 
-    inner: BinaryCode
+    ``MainCode(inner, n, L)`` holds the words: ``inner`` is a ``BinaryCode``
+    of length n*L <= 64.  ``MainCode.from_generators(rows, n, L)`` holds a
+    linear code by its reduced generator rows alone: ``inner`` is the tuple
+    of those rows, for any n*L and 2^k words.  A word is then a member iff
+    its residual against the rows (``gf2_residual``) is zero, and words are
+    built only when ``levels()`` asks for them, under the enumeration cap.
+    Membership, the generators and the projection and zero-antiprojection
+    bases answer in both forms.
+    """
+
+    inner: BinaryCode | tuple[int, ...]
     n: int
     L: int
 
@@ -44,7 +57,7 @@ class MainCode:
             raise ValueError(f"level count must be >= 1, got {self.L}")
         if self.L > MAX_LEVELS:
             raise ValueError(f"level count {self.L} above the supported {MAX_LEVELS}")
-        if self.inner.n != self.n * self.L:
+        if isinstance(self.inner, BinaryCode) and self.inner.n != self.n * self.L:
             raise ValueError(
                 f"main code length {self.inner.n} != n*L = {self.n}*{self.L}"
             )
@@ -53,22 +66,64 @@ class MainCode:
     def from_words(cls, words: Iterable, n: int, L: int) -> "MainCode":
         return cls(BinaryCode.from_words(words, n=n * L), n, L)
 
+    @classmethod
+    def from_generators(cls, rows: Iterable[int], n: int, L: int) -> "MainCode":
+        """The linear main code spanned by int-packed ``rows`` (level i at bit (i-1)*n)."""
+        rows = [int(r) for r in rows]
+        if not 1 <= n <= MAX_CODE_LENGTH or any(r >> (n * L) for r in rows):
+            raise ValueError(f"generator rows need 1 <= n <= {MAX_CODE_LENGTH} and n*L bits")
+        return cls(tuple(gf2_reduce_basis(rows)), n, L)
+
     @property
     def q(self) -> int:
         return 1 << self.L
 
+    @property
+    def num_words(self) -> int:
+        return len(self.inner) if isinstance(self.inner, BinaryCode) else 1 << len(self.inner)
+
     def __len__(self) -> int:
-        return len(self.inner)
+        return self.num_words
 
     @property
     def linear(self) -> bool | None:
-        return self.inner.linear
+        return self.inner.linear if isinstance(self.inner, BinaryCode) else True
 
     def contains(self, word) -> bool:
-        return word in self.inner
+        if isinstance(self.inner, BinaryCode):
+            return word in self.inner
+        if isinstance(word, BitWord):
+            if word.n != self.n * self.L:
+                return False
+            word = word.bits
+        return not gf2_residual(int(word), self.inner)  # a bit past n*L stays set
 
     def generators(self) -> list[int]:
-        return self.inner.basis()
+        """A basis, leading bits descending (the rows of the generator form)."""
+        return self.inner.basis() if isinstance(self.inner, BinaryCode) else list(self.inner)
+
+    def projection_bases(self) -> list[list[int]]:
+        """Reduced bases of the projection codes C_1, ..., C_L of a linear
+        code: level i of the generators spans C_i."""
+        parts = [self.split(g) for g in self.generators()]
+        return [gf2_reduce_basis(p[i] for p in parts) for i in range(self.L)]
+
+    def antiprojection_zero_bases(self) -> list[list[int]]:
+        """Reduced bases of S_1(0), ..., S_L(0) of a linear code: the level-i
+        words of the codewords that are zero at every other level.
+
+        With level i rotated to the bottom n bits, those codewords are the
+        ones below 2^n.  A reduced basis spans them by its rows below 2^n,
+        since any combination with a row above keeps that row's leading bit.
+        """
+        nl, gens = self.n * self.L, self.generators()
+        full = (1 << nl) - 1
+        out = []
+        for i in range(self.L):
+            s = i * self.n
+            rotated = ((g >> s) | ((g << (nl - s)) & full) for g in gens)
+            out.append([r for r in gf2_reduce_basis(rotated) if r >> self.n == 0])
+        return out
 
     def split(self, word: int) -> tuple[int, ...]:
         mask = (1 << self.n) - 1
@@ -82,11 +137,21 @@ class MainCode:
             word |= lv << (i * self.n)
         return word
 
-    def levels(self) -> np.ndarray:
+    def levels(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
         """(L, |C|) uint64 array: row i holds the level-(i+1) word of each
-        codeword, in canonical word order."""
-        shifts = np.arange(self.L, dtype=np.uint64)[:, None] * np.uint64(self.n)
-        return (self.inner.words >> shifts) & np.uint64((1 << self.n) - 1)
+        codeword, in canonical word order (for the generator form, the
+        XOR-doubling order of its rows, built only while |C| <= ``cap``)."""
+        if isinstance(self.inner, BinaryCode):
+            shifts = np.arange(self.L, dtype=np.uint64)[:, None] * np.uint64(self.n)
+            return (self.inner.words >> shifts) & np.uint64((1 << self.n) - 1)
+        size = self.num_words
+        if size > cap:
+            raise EnumerationCapError(f"main code has {size} words, above the cap {cap}", size)
+        out = np.zeros((self.L, size), dtype=np.uint64)
+        for j, row in enumerate(self.inner):
+            parts = np.array(self.split(row), dtype=np.uint64)[:, None]
+            np.bitwise_xor(out[:, : 1 << j], parts, out=out[:, 1 << j : 2 << j])
+        return out
 
 
 @dataclass(frozen=True)
@@ -270,7 +335,7 @@ def construction_cstar(
     main: MainCode, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> PeriodicConstellation:
     """Lift of a main code: one representative per main codeword."""
-    size = len(main)
+    size = main.num_words
     if not size:
         raise ValueError("cannot lift an empty main code")
     if size > cap:
@@ -280,7 +345,7 @@ def construction_cstar(
             size,
         )
     acc = np.zeros((size, main.n), dtype=np.int32)
-    for i, lv in enumerate(main.levels()):
+    for i, lv in enumerate(main.levels(cap)):
         acc += _bit_matrix(lv, main.n) << i
     return PeriodicConstellation(n=main.n, L=main.L, q=main.q, reps=acc, source="Cstar")
 
@@ -288,20 +353,26 @@ def construction_cstar(
 def _greedy_chain_basis(codes: Sequence[BinaryCode]) -> tuple[list[int], list[int]]:
     """Basis of F_2^n whose first k_i vectors span C_i, grown greedily.
 
-    Scans each level's words in canonical sorted order and keeps the
-    independent ones.  Returns (basis vectors, [k_1, ..., k_L]).  The rep
-    set of Construction D is basis-independent; the greedy choice only
-    pins a deterministic expansion order.  Completing the basis beyond
-    k_L is unnecessary: the expansion never uses those vectors.
+    Scans each level's words in canonical sorted order and keeps the ones
+    independent of those kept so far.  Returns (basis vectors, [k_1, ...,
+    k_L]).  For L >= 3 the rep set of Construction D can depend on the
+    basis, so this scan is part of its definition here.  Completing the
+    basis beyond k_L is unnecessary: the expansion never uses those vectors.
+
+    Only the rows of a level's fully reduced basis can be kept: any other
+    word w of the level is the reduced row r with w's leading bit plus
+    words below r, all smaller than w.  So only those rows are scanned, in
+    ascending order, O(k) of them for a verified-linear code.
     """
     basis: list[int] = []
     reduced: list[int] = []
     ks: list[int] = []
     for code in codes:
-        for w in code.words.tolist():
-            cur = w
-            for b in reduced:
-                cur = min(cur, cur ^ b)
+        rows: list[int] = []  # the level's fully reduced basis, ascending
+        for r in sorted(code.basis()):
+            rows.append(gf2_residual(r, rows[::-1]))
+        for w in rows:
+            cur = gf2_residual(w, reduced)
             if cur:
                 basis.append(w)
                 reduced.append(cur)
@@ -368,7 +439,7 @@ def construction_d(
 
 def projection_codes(main: MainCode) -> list[BinaryCode]:
     """The L length-n codes of level words appearing in the main code."""
-    linear = True if main.inner.linear else None
+    linear = True if main.linear else None
     return [
         BinaryCode(main.n, lv, linear=linear if len(lv) else False)
         for lv in main.levels()
@@ -390,12 +461,12 @@ def antiprojection(
     fixed_ints = [as_word(f, main.n).bits for f in fixed]
     levels = main.levels()
     others = [i for i in range(main.L) if i != level - 1]
-    keep = np.ones(len(main), dtype=bool)
+    keep = np.ones(levels.shape[1], dtype=bool)
     for i, f in zip(others, fixed_ints):
         keep &= levels[i] == np.uint64(f)
     hits = levels[level - 1][keep]
     zero_fixed = all(f == 0 for f in fixed_ints)
-    linear = True if (main.inner.linear and zero_fixed and hits.size) else None
+    linear = True if (main.linear and zero_fixed and hits.size) else None
     if not hits.size:
         linear = False
     return BinaryCode(main.n, hits, linear=linear)

@@ -26,7 +26,7 @@ from .constructions import (
     construction_cstar,
     rep_keys,
 )
-from .gf2 import BinaryCode, BitWord, as_word
+from .gf2 import BinaryCode, BitWord, as_word, gf2_min_weight
 
 _BLOCK = 1024  # pair tiles of _BLOCK/16 x 4*_BLOCK; spectrum blocks of ~_BLOCK^2 keys
 _KEY_BITS = 63  # one composition-key chunk fills a nonnegative int64
@@ -173,22 +173,25 @@ def dmin_oracle(constellation: PeriodicConstellation) -> int:
     return int(_nearest_sq(constellation).min())
 
 
-def dmin_formula_c(codes: Sequence[BinaryCode]) -> int:
-    """Closed-form squared minimum distance of Construction C from linear codes.
-
-    min over levels of 4^(i-1) * d_H(C_i), levels whose code has no nonzero
-    word contributing nothing, capped by the pure translate 4^L.
+def dmin_formula_levels(weights: Sequence[int | None]) -> int:
+    """min(4^L, min over levels i of 4^(i-1) * w_i) for L level codes, w_i
+    the minimum nonzero weight of the i-th (None: the level is {0} and
+    contributes nothing).  On the level codes of Construction C it is
+    d_min^2, on the projection codes of a main code the associated lift's
+    d_min^2, and on its zero antiprojections an upper bound on the C*
+    lift's d_min^2.
     """
-    L = len(codes)
-    if L == 0:
+    return min([4 ** len(weights)] + [4**i * w for i, w in enumerate(weights) if w is not None])
+
+
+def dmin_formula_c(codes: Sequence[BinaryCode]) -> int:
+    """Closed-form squared minimum distance of Construction C from linear
+    codes: ``dmin_formula_levels`` of their bases' minimum weights."""
+    if not codes:
         raise ValueError("need at least one level code")
-    best = 4**L
-    for i, code in enumerate(codes):
-        if code.linear is not True:
-            raise ValueError("the distance formula requires verified-linear codes")
-        if code.contains_nonzero():
-            best = min(best, (4**i) * code.min_nonzero_weight())
-    return best
+    if any(code.linear is not True for code in codes):
+        raise ValueError("the distance formula requires verified-linear codes")
+    return dmin_formula_levels([gf2_min_weight(code.basis()) for code in codes])
 
 
 def mcounts(word, n: int, L: int) -> MCounts:
@@ -283,15 +286,16 @@ def dmin_to_zero_structured(
 
 
 def dmin_upper_bound_antiprojection(main: MainCode) -> int:
-    """Upper bound from antiprojections at zero: each nonzero word of
-    S_i(0) places a constellation point 2^(i-1) * s next to zero."""
+    """Upper bound from antiprojections at zero, for a main code containing
+    0: each nonzero word s of S_i(0) places a constellation point
+    2^(i-1) * s next to zero.  ``dmin_formula_levels`` of their minimum
+    weights, read off the generators (``antiprojection_zero_bases``) for a
+    verified-linear code and from the enumerated S_i(0) otherwise."""
+    if main.linear is True:
+        return dmin_formula_levels([gf2_min_weight(b) for b in main.antiprojection_zero_bases()])
     zeros = [0] * (main.L - 1)
-    best = 4**main.L
-    for i in range(1, main.L + 1):
-        s_i = antiprojection(main, i, zeros)
-        if s_i.contains_nonzero():
-            best = min(best, (4 ** (i - 1)) * s_i.min_nonzero_weight())
-    return best
+    anti = [antiprojection(main, i, zeros) for i in range(1, main.L + 1)]
+    return dmin_formula_levels([s.min_nonzero_weight() if s.words.any() else None for s in anti])
 
 
 @lru_cache(maxsize=65536)

@@ -12,6 +12,7 @@ the set was too large to verify and no generator was supplied.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -127,13 +128,23 @@ def as_word(value, n: int | None = None) -> BitWord:
     return BitWord.from_bits(value)
 
 
+def gf2_residual(word: int, basis: Sequence[int]) -> int:
+    """``word`` reduced against ``basis``, rows with distinct leading bits in
+    decreasing order (as ``gf2_reduce_basis`` returns them).
+
+    The residual has none of those leading bits set, so it is zero iff
+    ``word`` lies in the span, and it is linear in ``word``.
+    """
+    for b in basis:
+        word = min(word, word ^ b)
+    return word
+
+
 def gf2_reduce_basis(vectors: Iterable[int]) -> list[int]:
     """Extract a row-reduced independent basis from int-packed vectors."""
     basis: list[int] = []  # kept with strictly decreasing leading bits
     for v in vectors:
-        cur = v
-        for b in basis:
-            cur = min(cur, cur ^ b)
+        cur = gf2_residual(v, basis)
         if cur:
             basis.append(cur)
             basis.sort(reverse=True)
@@ -279,9 +290,6 @@ class BinaryCode:
     def rank(self) -> int:
         return len(self.basis())
 
-    def contains_nonzero(self) -> bool:
-        return bool(self.words.any())
-
     def min_nonzero_weight(self) -> int:
         """Smallest weight among nonzero words; code must contain one."""
         weights = np.bitwise_count(self.words[self.words != 0])
@@ -337,6 +345,36 @@ def enumerate_from_generator(
     for j, b in enumerate(reduced):
         np.bitwise_xor(words[: 1 << j], np.uint64(b), out=words[1 << j : 2 << j])
     return BinaryCode(n, words, generator=tuple(cols), linear=True)
+
+
+def gf2_min_weight(basis: Sequence[int]) -> int | None:
+    """Smallest weight of a nonzero word in the span of ``basis`` (as for
+    ``gf2_residual``; words of at most 64 bits), None when the span is {0}.
+
+    A weight-w word lies in the span iff the residuals of its w unit vectors
+    XOR to zero.  Weights are tried in increasing order while the words
+    tried stay fewer than the 2^k of the span and the enumeration cap;
+    past that the span itself is enumerated, under the cap.  So a span of nearly
+    all of F_2^n is never built: F_2^24 answers at its first unit vector.
+    """
+    if not basis:
+        return None
+    n = basis[0].bit_length()  # the span lives on the bits below the top leading bit
+    units = np.array([gf2_residual(1 << j, basis) for j in range(n)], dtype=np.uint64)
+    groups = [np.zeros(0, dtype=np.uint64)] * n  # XORs of the w-subsets, by largest index
+    tried = 0
+    for w in range(1, n + 1):
+        tried += math.comb(n, w)
+        if tried > min(1 << len(basis), DEFAULT_ENUMERATION_CAP):
+            break
+        # the (w-1)-subsets below index j, the empty one first when w = 1
+        below = np.concatenate([np.zeros(int(w == 1), dtype=np.uint64)] + groups)
+        ends = np.cumsum([int(w == 1)] + [len(g) for g in groups[:-1]])
+        groups = [below[:end] ^ unit for end, unit in zip(ends, units)]
+        if not all(g.all() for g in groups):
+            return w
+    span = enumerate_from_generator(basis, n=n, cap=DEFAULT_ENUMERATION_CAP)
+    return span.min_nonzero_weight()
 
 
 def min_hamming_distance(code: BinaryCode) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .constructions import (
     CarryRecord,
     MainCode,
     PeriodicConstellation,
-    projection_codes,
-    antiprojection,
     rep_keys,
     _lane_sub,
 )
@@ -32,11 +30,9 @@ from .gf2 import (
     BitWord,
     LengthMismatchError,
     gf2_reduce_basis,
+    gf2_residual,
     is_nested,
 )
-
-if TYPE_CHECKING:
-    from .catalog import LeechMainCode
 
 DEFAULT_PAIR_BUDGET = 1 << 32
 _TABLE_CAP = 1 << 24  # q^n up to which the brute oracle looks reps up in a bool table
@@ -194,7 +190,7 @@ def thm1_check(codes: Sequence[BinaryCode]) -> LatticenessReport:
                 elapsed_ms=(time.perf_counter() - t0) * 1e3,
             )
     for i in range(len(codes) - 1):
-        gap = _schur_gap(codes[i], codes[i + 1])
+        gap = _schur_gap(codes[i].basis(), codes[i + 1].__contains__)
         if gap is not None:
             x, y = (BitWord(w, codes[i].n) for w in gap)
             return LatticenessReport(
@@ -215,19 +211,26 @@ def thm1_check(codes: Sequence[BinaryCode]) -> LatticenessReport:
     )
 
 
-def _schur_gap(code: BinaryCode, target: BinaryCode) -> tuple[int, int] | None:
-    """First basis pair (g, h) of ``code`` whose product g & h is not in ``target``.
+def _schur_gap(
+    basis: Sequence[int], member: Callable[[int], bool]
+) -> tuple[int, int] | None:
+    """First pair (g, h) of ``basis`` whose product g & h fails ``member``.
 
-    Decides code * code <= target for a linear ``target``: the Schur
-    product is bilinear, so every product x & y is a sum of basis products.
-    Pairs g <= h go in basis order; None when the closure holds.
+    Decides C * C <= T for the span C of ``basis`` and a linear T given by
+    its membership test: the Schur product is bilinear, so every product
+    x & y is a sum of basis products.  Pairs g <= h go in basis order; None
+    when the closure holds.
     """
-    basis = code.basis()
     for a, g in enumerate(basis):
         for h in basis[a:]:
-            if (g & h) not in target:
+            if not member(g & h):
                 return g, h
     return None
+
+
+def _spans_inside(basis: Sequence[int], target: Sequence[int]) -> bool:
+    """Whether the span of ``basis`` lies in the span of the reduced ``target``."""
+    return not any(gf2_residual(b, target) for b in basis)
 
 
 def carry_terms(c, c_tilde, n: int, L: int) -> CarryRecord:
@@ -311,14 +314,11 @@ def _combinations_by_weight(basis: Sequence[int], max_weight: int) -> list[list[
     return out
 
 
-def thm5_check(
-    main: MainCode | LeechMainCode, budget: int = DEFAULT_PAIR_BUDGET
-) -> LatticenessReport:
+def thm5_check(main: MainCode, budget: int = DEFAULT_PAIR_BUDGET) -> LatticenessReport:
     """Necessary and sufficient test: the carry set must lie inside the code.
 
-    ``main`` is any linear main code exposing ``n``, ``L``, ``linear``,
-    ``generators()`` and ``contains()``: a ``MainCode`` or the structured
-    Leech main code, which is never enumerated.
+    ``main`` is a linear main code in either form; it is never enumerated,
+    only its generators and membership are used.
 
     Only low-weight generator combinations are tested.  Write c = aG and
     d = bG for a basis G of dimension k.  The carry s_i has degree i + 1 in
@@ -388,50 +388,31 @@ def thm4_check(main: MainCode) -> LatticenessReport:
     for each level i >= 2, that every pairwise Schur product of level-(i-1)
     words lands in S_i(0).  Once the chain holds, the deeper carry-recursion
     products are themselves pairwise products of level-(i-1) words, so the
-    pairwise check covers them.  Both codes are linear and the Schur
-    product is bilinear, so ``_schur_gap`` tests the closure on basis
-    pairs of C_{i-1} only.
+    pairwise check covers them.  Every code here is a span, read off the
+    generators (``projection_bases``, ``antiprojection_zero_bases``), so an
+    inclusion tests basis words for membership and ``_schur_gap`` tests a
+    closure on basis pairs of C_{i-1}.  No word is enumerated.
     """
     t0 = time.perf_counter()
-    if main.inner.linear is not True:
+    if main.linear is not True:
         raise ValueError("the chain test requires a verified-linear main code")
-    projections = projection_codes(main)
-    zeros = [0] * (main.L - 1)
+    proj = main.projection_bases()
+    anti = main.antiprojection_zero_bases()
     chain: list[dict] = []
-    ok = True
-    anti: list[BinaryCode | None] = [None]
     for i in range(2, main.L + 1):
-        anti.append(antiprojection(main, i, zeros))
-    for i in range(2, main.L + 1):
-        s_i = anti[i - 1]
-        holds = is_nested(projections[i - 2], s_i)
-        chain.append(
-            {"inclusion": f"C_{i - 1} <= S_{i}(0)", "holds": bool(holds)}
-        )
-        ok = ok and holds
-        holds = is_nested(s_i, projections[i - 1])
-        chain.append(
-            {"inclusion": f"S_{i}(0) <= C_{i}", "holds": bool(holds)}
-        )
-        ok = ok and holds
-    full = 1 << main.n
-    chain.append(
-        {
-            "inclusion": f"C_{main.L} <= F_2^{main.n}",
-            "holds": bool(len(projections[-1]) <= full),
-        }
-    )
+        c_prev, s_i, c_i = proj[i - 2], anti[i - 1], proj[i - 1]
+        chain.append({"inclusion": f"C_{i - 1} <= S_{i}(0)", "holds": _spans_inside(c_prev, s_i)})
+        chain.append({"inclusion": f"S_{i}(0) <= C_{i}", "holds": _spans_inside(s_i, c_i)})
+    chain.append({"inclusion": f"C_{main.L} <= F_2^{main.n}", "holds": len(proj[-1]) <= main.n})
+    ok = all(c["holds"] for c in chain)
     closures: list[dict] = []
     if ok:
         for i in range(2, main.L + 1):
-            good = _schur_gap(projections[i - 2], anti[i - 1]) is None
-            closures.append(
-                {"closure": f"C_{i - 1}*C_{i - 1} <= S_{i}(0)", "holds": bool(good)}
-            )
+            good = _schur_gap(proj[i - 2], lambda w: not gf2_residual(w, anti[i - 1])) is None
+            closures.append({"closure": f"C_{i - 1}*C_{i - 1} <= S_{i}(0)", "holds": good})
             ok = ok and good
-    verdict = LATTICE if ok else INCONCLUSIVE
     return LatticenessReport(
-        verdict=verdict,
+        verdict=LATTICE if ok else INCONCLUSIVE,
         method="thm4",
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
         detail={"chain": chain, "closures": closures},
@@ -439,52 +420,22 @@ def thm4_check(main: MainCode) -> LatticenessReport:
 
 
 def thm4_check_leech(leech, threads: int = 1) -> LatticenessReport:
-    """Chain test specialised to the structured Leech main code.
+    """``thm4_check`` on the Leech main code, with the size of its last closure.
 
-    The five chain inclusions come from the code structure plus two
-    computed facts (the all-ones word is a Golay codeword; every Golay
-    codeword has even weight).  The closure C_2*C_2 <= S_3(0) asks that
-    every Schur product of two Golay codewords have even weight; it covers
-    the 4096 * 4097 / 2 pairs x <= y, and ``schur_parity_scan`` decides it
-    from the 12 x 12 Gram matrix of a Golay basis, without materialising
-    the carry set.  ``pairs`` and ``pairs_scanned`` report the pairs the
-    closure covers.  ``threads`` is unused; it stays for callers that pass
-    it.
+    S_3(0) is the even-weight code, so C_2*C_2 <= S_3(0) asks that every
+    Schur product of two Golay codewords have even weight.
+    ``schur_parity_scan`` counts the pairs x <= y that break it from the
+    12 x 12 Gram matrix of a Golay basis; the closure entry gains that
+    count and the 4096 * 4097 / 2 pairs it covers, which ``pairs_scanned``
+    reports.  ``threads`` is unused; it stays for callers that pass it.
     """
     t0 = time.perf_counter()
-    golay = leech.golay
-    ones = (1 << leech.n) - 1
-    all_even = not bool((np.bitwise_count(golay.words) & 1).any())
-    chain = [
-        {"inclusion": "C_1 <= S_2(0)", "holds": bool(0 in golay and ones in golay)},
-        {"inclusion": "S_2(0) <= C_2", "holds": bool(leech.antiprojection_zero(2) == golay)},
-        {"inclusion": "C_2 <= S_3(0)", "holds": all_even},
-        {"inclusion": "S_3(0) <= C_3", "holds": True},  # even-weight words fill half of F_2^n
-        {"inclusion": f"C_3 <= F_2^{leech.n}", "holds": True},
-    ]
-    closures = [
-        {
-            "closure": "C_1*C_1 <= S_2(0)",
-            "holds": bool(0 in golay and ones in golay),
-        }
-    ]
-    violations, pairs = schur_parity_scan(golay)
-    closures.append(
-        {
-            "closure": "C_2*C_2 <= S_3(0)",
-            "holds": violations == 0,
-            "pairs": pairs,
-            "violations": violations,
-        }
-    )
-    ok = all(c["holds"] for c in chain) and all(c["holds"] for c in closures)
-    return LatticenessReport(
-        verdict=LATTICE if ok else INCONCLUSIVE,
-        method="thm4",
-        pairs_scanned=pairs,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
-        detail={"chain": chain, "closures": closures},
-    )
+    report = thm4_check(leech)
+    violations, pairs = schur_parity_scan(leech.golay)
+    report.detail["closures"][-1].update(pairs=pairs, violations=violations)
+    report.pairs_scanned = pairs
+    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
+    return report
 
 
 def schur_parity_scan(code: BinaryCode) -> tuple[int, int]:

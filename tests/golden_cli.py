@@ -58,6 +58,7 @@ def _cases() -> list[tuple[str, list[str], dict[str, str]]]:
         ("gvb", "gvb --step 0.001", {}),
         ("table1-out", "table1 --out table1.json", {}),
         ("check-thm4-leech", "check --lattice thm4 --catalog leech", {}),
+        ("check-all-leech", "check --lattice all --catalog leech", {}),
     ]
     inputs = {
         "ex2-c": "--catalog ex2 --kind c",

@@ -217,6 +217,24 @@ def oracle_antiprojection_set(
     return hits
 
 
+def oracle_greedy_chain_basis(codes: list[BinaryCode]) -> tuple[list[int], list[int]]:
+    """Construction D's chain basis by its definition: each level's words in
+    sorted order, kept when independent of those kept so far."""
+    basis: list[int] = []
+    reduced: list[int] = []
+    ks: list[int] = []
+    for code in codes:
+        for w in sorted(code.words.tolist()):
+            cur = w
+            for b in reduced:
+                cur = min(cur, cur ^ b)
+            if cur:
+                basis.append(w)
+                reduced.append(cur)
+        ks.append(len(basis))
+    return basis, ks
+
+
 def oracle_product_words(level_words: list[list[int]], n: int) -> set[int]:
     """Main words of the Cartesian product of the level word lists."""
     return {
@@ -251,6 +269,18 @@ def golay_syndrome(word) -> int:
         acc ^= (high >> r) & 1
         syndrome |= acc << r
     return syndrome
+
+
+def oracle_leech_contains(word) -> bool:
+    """Membership in the Leech main code from its structure: c1 all-zeros or
+    all-ones, c2 a Golay codeword (zero syndrome), and c3 of odd weight
+    exactly when c1 is all-ones."""
+    w = as_word(word, 72).bits
+    mask = (1 << 24) - 1
+    c1, c2, c3 = w & mask, (w >> 24) & mask, (w >> 48) & mask
+    if c1 not in (0, mask) or golay_syndrome(c2):
+        return False
+    return c3.bit_count() & 1 == (c1 == mask)
 
 
 def carry_r_terms(c: int, c_tilde: int, n: int, L: int, level: int) -> list[BitWord]:
@@ -322,6 +352,16 @@ def random_linear_main_code(
     if k is None:
         k = int(rng.integers(0, nl + 1))
     return MainCode(random_linear_code(rng, nl, k), n, L)
+
+
+def generator_twin(rng: np.random.Generator, main: MainCode) -> MainCode:
+    """The generator form of a linear word-form ``main``, from unreduced rows:
+    each basis word XOR a random earlier one, plus one dependent row."""
+    basis = main.generators()
+    rows = [g ^ (basis[int(rng.integers(0, i))] if i else 0) for i, g in enumerate(basis)]
+    if rows:
+        rows.append(rows[0] ^ rows[-1])
+    return MainCode.from_generators(rows, main.n, main.L)
 
 
 def random_lattice_main_code(

@@ -5,8 +5,15 @@ import pytest
 
 from codelat import catalog
 from codelat.constructions import projection_codes
-from codelat.gf2 import BinaryCode, min_hamming_distance
-from oracles import golay_syndrome
+from codelat.geometry import dmin_formula_levels, dmin_upper_bound_antiprojection
+from codelat.gf2 import (
+    BinaryCode,
+    BitWord,
+    enumerate_from_generator,
+    gf2_min_weight,
+    min_hamming_distance,
+)
+from oracles import golay_syndrome, oracle_leech_contains
 
 
 def test_golay_b_matrix_checksum_locked():
@@ -135,13 +142,39 @@ def test_leech_membership_predicate():
     assert leech.contains(0)
 
 
+def test_leech_membership_matches_structure_oracle():
+    # the generator form's byte-table membership against the structural
+    # predicate, on span members, their one-bit neighbours and random words
+    leech = catalog.leech_main_code()
+    rng = np.random.default_rng(151)
+    gens = leech.generators()
+    members = []
+    for mask in rng.integers(0, 1 << 36, size=400, dtype=np.uint64).tolist():
+        word = 0
+        for j, g in enumerate(gens):
+            if mask >> j & 1:
+                word ^= g
+        members.append(word)
+    flipped = [w ^ (1 << int(j)) for w, j in zip(members, rng.integers(0, 72, size=400))]
+    halves = rng.integers(0, 1 << 36, size=(2000, 2), dtype=np.uint64).tolist()
+    randoms = [low | high << 36 for low, high in halves]
+    verdicts = {True: 0, False: 0}
+    for word in members + flipped + randoms:
+        want = oracle_leech_contains(word)
+        assert leech.contains(word) == want
+        assert leech.contains(BitWord(word, 72)) == want
+        verdicts[want] += 1
+    assert verdicts[True] == len(members) and verdicts[False] >= len(flipped)
+    assert not leech.contains(1 << 72) and not leech.contains(BitWord(0, 24))
+
+
 def test_leech_antiprojection_structure():
     leech = catalog.leech_main_code()
     golay = catalog.golay24()
-    assert leech.antiprojection_zero(1) == BinaryCode(24, [0])
-    assert leech.antiprojection_zero(2) == golay
-    s3 = leech.antiprojection_zero(3)
-    assert len(s3) == 1 << 23 and s3.min_nonzero_weight() == 2
+    s1, s2, s3 = leech.antiprojection_zero_bases()
+    assert enumerate_from_generator(s1, n=24) == BinaryCode(24, [0])
+    assert enumerate_from_generator(s2, n=24) == golay
+    assert len(s3) == 23 and gf2_min_weight(s3) == 2  # 2^23 words
     # membership cross-checks of the structural claims
     for w in golay.words[:64].tolist():
         assert leech.contains(w << 24)  # (0, a, 0) is a codeword
@@ -151,14 +184,14 @@ def test_leech_antiprojection_structure():
 
 def test_leech_summaries():
     leech = catalog.leech_main_code()
-    proj = leech.projection_summary()
-    assert [p["min_weight"] for p in proj] == [24, 8, 1]
-    assert [p["log2_size"] for p in proj] == [1, 12, 24]
-    anti = leech.antiprojection_zero_summary()
-    assert [a["min_weight"] for a in anti] == [None, 8, 2]
-    assert leech.dmin_upper_bound() == 32
-    assert leech.associated_dmin_formula() == 16
-    assert leech.log2_size == 36 and leech.log2_associated_size() == 37
+    proj = leech.projection_bases()
+    assert [gf2_min_weight(b) for b in proj] == [24, 8, 1]
+    assert [len(b) for b in proj] == [1, 12, 24]
+    anti = leech.antiprojection_zero_bases()
+    assert [gf2_min_weight(b) for b in anti] == [None, 8, 2]
+    assert dmin_upper_bound_antiprojection(leech) == 32
+    assert dmin_formula_levels([gf2_min_weight(b) for b in proj]) == 16
+    assert len(leech.generators()) == 36 and sum(len(b) for b in proj) == 37
 
 
 def test_catalog_codes_export_in_code_file_format():

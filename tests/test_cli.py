@@ -297,6 +297,21 @@ def test_check_all_on_nonlinear_main_code_runs_brute(capsys, tmp_path):
     assert list(json.loads(out)["lattice"]) == ["brute"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--catalog", "leech"], ["--catalog", "ex9", "--cap", "2"]],
+    ids=["leech", "ex9-cap-2"],
+)
+def test_check_all_past_the_cap_runs_the_code_level_tests(capsys, argv):
+    # brute would lift more words than --cap; thm4 and thm5 read the basis
+    code, out, _ = run_cli(capsys, "check", "--lattice", "all", *argv)
+    assert code == 0
+    verdicts = json.loads(out)["lattice"]
+    assert list(verdicts) == ["thm4", "thm5"]
+    _, thm5, _ = run_cli(capsys, "check", "--lattice", "thm5", *argv)
+    assert verdicts["thm5"] == json.loads(thm5)["lattice"]["thm5"]
+
+
 def test_threads_flag_parses_without_effect(capsys):
     _, plain, _ = run_cli(capsys, "check", "--lattice", "thm4", "--catalog", "leech")
     code, threaded, _ = run_cli(

@@ -29,8 +29,10 @@ from codelat.gf2 import BinaryCode, BitWord, EnumerationCapError, enumerate_from
 from codelat.latticeness import brute_closure_oracle
 from codelat.packing import packing_report
 from oracles import (
+    generator_twin,
     lift_word_to_point,
     oracle_antiprojection_set,
+    oracle_greedy_chain_basis,
     oracle_product_words,
     oracle_projection_sets,
     oracle_split,
@@ -154,6 +156,30 @@ def test_construction_d_basis_independent():
         inner2 = BinaryCode(n, inner.words[::-1])
         outer2 = BinaryCode(n, outer.words[::-1])
         assert construction_d([inner2, outer2]).reps == base.reps
+
+
+def test_construction_d_chain_basis_is_the_sorted_word_scan():
+    # level codes held by words and by unreduced generators alike
+    rng = np.random.default_rng(181)
+    for _ in range(60):
+        n, L = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        gens = [int(x) for x in rng.integers(1, 1 << n, size=n, dtype=np.uint64)]
+        ks = sorted(int(k) for k in rng.integers(0, n + 1, size=L))
+        codes = [enumerate_from_generator(gens[:k], n=n) for k in ks]
+        assert _greedy_chain_basis(codes) == oracle_greedy_chain_basis(codes)
+        words = [BinaryCode(n, code.words, linear=True) for code in codes]
+        assert _greedy_chain_basis(words) == oracle_greedy_chain_basis(codes)
+
+
+def test_construction_d_three_levels_pin_the_chain_basis():
+    # C_1 * C_1 is not in C_2 here, and the reps depend on the basis: the
+    # sorted scan keeps 1100 then 0110, so 2 * (0, 1, 1, 0) is a rep, which
+    # the basis 1100, 1010 would not give
+    c1 = BinaryCode(4, [0b0000, 0b1100])
+    c2 = BinaryCode(4, [0b0000, 0b0110, 0b1010, 0b1100])
+    assert _greedy_chain_basis([c1, c2, c2]) == ([0b1100, 0b0110], [1, 2, 2])
+    P = construction_d([c1, c2, c2])
+    assert len(P) == 32 and (0, 2, 2, 0) in set(P.reps)
 
 
 def test_construction_d_reps_are_the_sorted_expansions():
@@ -346,3 +372,55 @@ def test_lifts_and_scans_read_only_the_stored_array():
         assert P.array.dtype == np.int64 and P.array.shape == (len(P), P.n)
         with pytest.raises(ValueError, match="read-only"):
             P.array[0, 0] = 1
+
+
+def test_generator_form_matches_word_form():
+    # contains, the generators' span, the projection and zero-antiprojection
+    # bases and the C* lift, on random linear main codes with n*L <= 64
+    # (k = 0 included)
+    rng = np.random.default_rng(157)
+    for trial in range(150):
+        L = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 64 // L + 1))
+        k = 0 if trial < 5 else int(rng.integers(0, min(n * L, 9) + 1))
+        main = random_linear_main_code(rng, n, L, k)
+        twin = generator_twin(rng, main)
+        assert twin.inner == tuple(twin.generators()) and twin.linear is True
+        assert twin.num_words == len(twin) == len(main)
+        span = enumerate_from_generator(twin.generators(), n=n * L)
+        assert span == main.inner
+        probes = main.inner.words.tolist() + random_words(rng, 50, n * L)
+        probes += [w ^ (1 << int(rng.integers(0, n * L))) for w in probes[:20]]
+        assert [twin.contains(w) for w in probes] == [main.contains(w) for w in probes]
+        assert not twin.contains(1 << (n * L)) and not twin.contains(BitWord(0, n * L + 1))
+        projections = projection_codes(main)
+        for basis, code in zip(twin.projection_bases(), projections):
+            assert enumerate_from_generator(basis, n=n) == code
+        for level, basis in enumerate(twin.antiprojection_zero_bases(), start=1):
+            expected = antiprojection(main, level, [0] * (L - 1))
+            assert enumerate_from_generator(basis, n=n) == expected
+        assert construction_cstar(twin) == construction_cstar(main)
+
+
+def test_generator_form_enumerates_only_under_the_cap():
+    leech = catalog.leech_main_code()
+    assert len(leech.inner) == 36 and leech.num_words == 1 << 36
+    with pytest.raises(EnumerationCapError):
+        leech.levels()
+    with pytest.raises(EnumerationCapError):
+        construction_cstar(leech)
+    with pytest.raises(ValueError, match=r"n\*L bits"):
+        MainCode.from_generators([1 << 6], n=3, L=2)
+
+
+def test_construction_d_chain_with_a_2_14_word_level():
+    # the chain basis comes from each level's basis, not its 2^14 words
+    n = 14
+    inner = enumerate_from_generator([(1 << n) - 1, 0b11], n=n)
+    outer = enumerate_from_generator([1 << j for j in range(n)], n=n)
+    basis, chain = _greedy_chain_basis([inner, outer])
+    assert chain == [2, 14] and len(basis) == 14
+    # C_1 * C_1 <= F_2^14, so C and D give the same 2^16 reps
+    d = construction_d([inner, outer])
+    assert len(d) == 1 << 16
+    assert np.array_equal(d.array, construction_c([inner, outer]).array)

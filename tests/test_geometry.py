@@ -27,6 +27,7 @@ from codelat.geometry import (
 )
 from codelat.gf2 import BinaryCode, BitWord, enumerate_from_generator
 from oracles import (
+    oracle_antiprojection_set,
     oracle_eds,
     oracle_min_distance_squared,
     oracle_nearest_squared,
@@ -193,9 +194,29 @@ def test_structured_solver_matches_enumeration():
 
 
 def test_dmin_upper_bound_examples():
-    assert catalog.leech_main_code().dmin_upper_bound() == 32
+    assert dmin_upper_bound_antiprojection(catalog.leech_main_code()) == 32
     assert dmin_upper_bound_antiprojection(catalog.worked_example("ex9")) == 16
     assert dmin_upper_bound_antiprojection(catalog.worked_example("ex10")) == 64
+
+
+def test_dmin_upper_bound_of_nonlinear_main_codes():
+    # S_i(0) enumerated for a main code that is not linear: the bound matches
+    # the plain-loop antiprojections and bounds the lift's distance to zero
+    rng = np.random.default_rng(179)
+    nonlinear = 0
+    for _ in range(40):
+        n, L = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        words = [0] + random_words(rng, int(rng.integers(2, 12)), n * L)
+        main = MainCode(BinaryCode(n * L, words), n, L)
+        nonlinear += main.linear is False
+        want = 4**L
+        for i in range(1, L + 1):
+            s = oracle_antiprojection_set(words, n, L, i, [0] * (L - 1)) - {0}
+            if s:
+                want = min(want, 4 ** (i - 1) * min(w.bit_count() for w in s))
+        assert dmin_upper_bound_antiprojection(main) == want
+        assert dmin_to_zero(construction_cstar(main)) <= want
+    assert nonlinear >= 20
 
 
 def test_distance_chain_on_2level_instances():

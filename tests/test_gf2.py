@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codelat import latticeness
+from codelat import gf2, latticeness
 from codelat.gf2 import (
     BinaryCode,
     BitWord,
@@ -14,6 +15,7 @@ from codelat.gf2 import (
     LengthMismatchError,
     enumerate_from_generator,
     format_code_file,
+    gf2_min_weight,
     gf2_reduce_basis,
     is_nested,
     min_hamming_distance,
@@ -171,7 +173,7 @@ def test_schur_chain_d3_plus_witness():
     assert report.verdict == NOT_LATTICE
     assert report.witness == {"non_nested_level": 1}
     # the closure itself fails on the repetition code's one basis word, 111
-    assert latticeness._schur_gap(rep, parity) == (0b111, 0b111)
+    assert latticeness._schur_gap(rep.basis(), parity.__contains__) == (0b111, 0b111)
 
 
 def test_schur_chain_single_zero_code():
@@ -317,3 +319,35 @@ def test_word_store_matches_set_oracle():
         assert is_nested(code, other) == (ref <= set(other.words.tolist()))
         if len(code) >= 2:
             assert min_hamming_distance(code) == oracle_pairwise_min_hamming(words)
+
+
+def test_min_weight_of_a_basis_matches_its_enumerated_span():
+    # both paths: the unit-residual search (high rank) and the span (low rank)
+    rng = np.random.default_rng(167)
+    for _ in range(300):
+        n = int(rng.integers(1, 17))
+        code = random_linear_code(rng, n, int(rng.integers(0, n + 1)))
+        want = code.min_nonzero_weight() if len(code) > 1 else None
+        assert gf2_min_weight(code.basis()) == want
+
+
+def test_min_weight_of_a_full_rank_basis_builds_no_span():
+    units = gf2_reduce_basis(1 << j for j in range(24))
+    even = gf2_reduce_basis(0b11 << j for j in range(23))
+    tracemalloc.start()
+    try:
+        assert gf2_min_weight(units) == 1
+        assert gf2_min_weight(even) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # F_2^24 would take 128 MiB
+
+
+def test_min_weight_respects_the_enumeration_cap(monkeypatch):
+    # weights 1 and 2 fit in a cap of 400 words, weight 3 and the span do not
+    code = random_linear_code(np.random.default_rng(173), 24, 12)
+    assert code.min_nonzero_weight() > 2
+    monkeypatch.setattr(gf2, "DEFAULT_ENUMERATION_CAP", 400)
+    with pytest.raises(EnumerationCapError):
+        gf2_min_weight(code.basis())

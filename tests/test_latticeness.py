@@ -35,6 +35,7 @@ from oracles import (
     brute_rows_oracle,
     carry_r_terms,
     carry_set,
+    generator_twin,
     lift_word_to_point,
     oracle_is_lattice,
     oracle_schur_parity_scan,
@@ -303,7 +304,14 @@ def test_thm5_leech_main_code():
 
 def test_thm5_rejects_leech_variant_with_random_level_two():
     rng = np.random.default_rng(71)
-    variant = catalog.LeechMainCode(golay=random_linear_code(rng, 24, 12))
+    level_two = random_linear_code(rng, 24, 12)
+    ones = (1 << 24) - 1
+    rows = (
+        [ones | (1 << 48)]
+        + [g << 24 for g in level_two.basis()]
+        + [0b11 << (48 + j) for j in range(23)]
+    )
+    variant = MainCode.from_generators(rows, n=24, L=3)
     report = thm5_check(variant)
     assert report.verdict == NOT_LATTICE
     c, d, t = (
@@ -395,6 +403,28 @@ def test_thm4_matches_all_pairs_closure_oracle():
         for c in detail["closures"]:
             closures[c["holds"]] += 1
     assert min(closures.values()) >= 20
+
+
+def test_generator_form_deciders_match_word_form():
+    # thm4 and thm5 on the generator form of random linear main codes
+    # (n*L <= 64, k = 0 included) against the word form and the all-pairs
+    # chain oracle; a thm5 witness re-derives on the word form
+    rng = np.random.default_rng(163)
+    verdicts = {LATTICE: 0, NOT_LATTICE: 0}
+    for trial in range(300):
+        n, L = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        k = 0 if trial < 5 else None
+        main = random_linear_main_code(rng, n, L, k)
+        twin = generator_twin(rng, main)
+        chain, words = thm4_check(twin), thm4_check(main)
+        assert (chain.verdict, chain.detail) == thm4_all_pairs_oracle(main)
+        assert (chain.verdict, chain.detail) == (words.verdict, words.detail)
+        report, words = thm5_check(twin), thm5_check(main)
+        assert (report.verdict, report.detail) == (words.verdict, words.detail)
+        if report.verdict == NOT_LATTICE:
+            _assert_thm5_witness(main, report)
+        verdicts[report.verdict] += 1
+    assert min(verdicts.values()) >= 30
 
 
 def test_thm4_lattice_implies_thm5_lattice():
