@@ -33,7 +33,6 @@ from .latticeness import (
 )
 from .geometry import (
     DistanceSpectrum,
-    MCounts,
     distance_spectrum,
     dmin_formula_c,
     dmin_oracle,
@@ -43,7 +42,6 @@ from .geometry import (
     eds_check,
     equi_min_distance_check,
     isometry_orbit_check,
-    mcounts,
 )
 from .packing import (
     PackingReport,
@@ -55,10 +53,8 @@ from .ensembles import (
     EnsembleConfig,
     binary_entropy,
     condition_checks,
-    empirical_dmin_ensemble,
     gvb_maximize,
     gvb_packing_efficiency,
-    gvb_size_check,
     sample_main_code,
     scaled_point_density,
 )

@@ -184,6 +184,18 @@ def _as_constellation(obj, kind: str | None, cap: int) -> PeriodicConstellation:
     raise ValueError(f"cannot lift input of type {type(obj).__name__}")
 
 
+def _lift_size(obj, kind: str | None) -> int:
+    """Reps of the lift ``_as_constellation`` would build from linear codes,
+    counted from their sizes and ranks without building it."""
+    if isinstance(obj, MainCode):
+        return 1 << sum(map(len, obj.projection_bases())) if kind == "c" else obj.num_words
+    if kind == "a" or (kind is None and len(obj) == 1):
+        return len(obj[0])
+    if kind == "d":
+        return 1 << sum(code.rank() for code in obj)
+    return math.prod(map(len, obj))
+
+
 def cmd_construct(args) -> int:
     obj = _resolve_input(args)
     constellation = _as_constellation(obj, args.kind, args.cap)
@@ -204,17 +216,14 @@ def cmd_check(args) -> int:
     is_main = isinstance(obj, MainCode)
     lattice_methods = []
     if args.lattice == "all":
-        # the code-level tests need verified-linear codes; brute needs none,
-        # but it lifts the code, so it is left out past the cap when they run
+        # the code-level tests need linear codes; brute needs none, but it
+        # lifts the code, so it is left out past the cap when they run
         codes = obj if isinstance(obj, list) else [obj]
-        linear = all(getattr(code, "linear", True) is True for code in codes)
-        too_big = is_main and linear and obj.num_words > args.cap
+        linear = all(getattr(code, "linear", False) for code in codes)
+        too_big = linear and _lift_size(obj, args.kind) > args.cap
         lattice_methods = [] if too_big else ["brute"]
         if linear:
-            if isinstance(obj, list):
-                lattice_methods.append("thm1")
-            elif is_main:
-                lattice_methods += ["thm4", "thm5"]
+            lattice_methods += ["thm4", "thm5"] if is_main else ["thm1"]
     elif args.lattice:
         lattice_methods = [args.lattice]
         if args.lattice == "thm1" and not isinstance(obj, list):

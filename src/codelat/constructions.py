@@ -86,7 +86,7 @@ class MainCode:
         return self.num_words
 
     @property
-    def linear(self) -> bool | None:
+    def linear(self) -> bool:
         return self.inner.linear if isinstance(self.inner, BinaryCode) else True
 
     def contains(self, word) -> bool:
@@ -362,7 +362,7 @@ def _greedy_chain_basis(codes: Sequence[BinaryCode]) -> tuple[list[int], list[in
     Only the rows of a level's fully reduced basis can be kept: any other
     word w of the level is the reduced row r with w's leading bit plus
     words below r, all smaller than w.  So only those rows are scanned, in
-    ascending order, O(k) of them for a verified-linear code.
+    ascending order, O(k) of them for a linear code.
     """
     basis: list[int] = []
     reduced: list[int] = []
@@ -398,7 +398,7 @@ def construction_d(
     for code in codes:
         if code.n != n:
             raise LengthMismatchError(f"code lengths differ: {code.n} vs {n}")
-        if code.linear is not True:
+        if not code.linear:
             raise ValueError("construction D requires verified-linear codes")
     for i in range(L - 1):
         if not is_nested(codes[i], codes[i + 1]):
@@ -439,11 +439,7 @@ def construction_d(
 
 def projection_codes(main: MainCode) -> list[BinaryCode]:
     """The L length-n codes of level words appearing in the main code."""
-    linear = True if main.linear else None
-    return [
-        BinaryCode(main.n, lv, linear=linear if len(lv) else False)
-        for lv in main.levels()
-    ]
+    return [BinaryCode(main.n, lv) for lv in main.levels()]
 
 
 def antiprojection(
@@ -464,12 +460,7 @@ def antiprojection(
     keep = np.ones(levels.shape[1], dtype=bool)
     for i, f in zip(others, fixed_ints):
         keep &= levels[i] == np.uint64(f)
-    hits = levels[level - 1][keep]
-    zero_fixed = all(f == 0 for f in fixed_ints)
-    linear = True if (main.linear and zero_fixed and hits.size) else None
-    if not hits.size:
-        linear = False
-    return BinaryCode(main.n, hits, linear=linear)
+    return BinaryCode(main.n, levels[level - 1][keep])
 
 
 def associated_construction_c(
@@ -500,6 +491,4 @@ def product_main_code(
     for i, code in enumerate(codes):
         shifted = code.words << np.uint64(i * n)
         words = (words[:, None] | shifted[None, :]).ravel()
-    linear = True if all(c.linear for c in codes) else None
-    inner = BinaryCode(n * L, words, linear=linear)
-    return MainCode(inner, n, L)
+    return MainCode(BinaryCode(n * L, words), n, L)

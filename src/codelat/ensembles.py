@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constructions import MainCode, construction_c, construction_cstar
-from .gf2 import BinaryCode, enumerate_from_generator, min_hamming_distance
-from .geometry import dmin_oracle
+from .constructions import MainCode
+from .gf2 import BinaryCode, enumerate_from_generator
 
 GVB_LEVEL_EPS = 1e-15
 
@@ -313,82 +312,3 @@ def gvb_maximize(
         d = a + (b - a) * inv_phi
     alpha_star = (a + b) / 2.0
     return alpha_star, gvb_packing_efficiency(alpha_star).rho
-
-
-def gvb_size_check(code: BinaryCode) -> bool:
-    """Whether |C| >= 2^n / |B(d-1, n)| with the Hamming ball summed exactly."""
-    d = min_hamming_distance(code)
-    ball = sum(math.comb(code.n, w) for w in range(d))
-    return len(code) * ball >= 1 << code.n
-
-
-@dataclass(frozen=True)
-class EmpiricalDminSummary:
-    trials: int
-    cstar_mean: float
-    cstar_min: int
-    cstar_max: int
-    c_mean: float
-    c_min: int
-    c_max: int
-
-    def as_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "cstar": {
-                "mean": self.cstar_mean,
-                "min": self.cstar_min,
-                "max": self.cstar_max,
-            },
-            "c": {"mean": self.c_mean, "min": self.c_min, "max": self.c_max},
-        }
-
-
-def _split_bits(total: int, parts: int) -> list[int]:
-    base = total // parts
-    out = [base] * parts
-    for i in range(total - base * parts):
-        out[i] += 1
-    return out
-
-
-def empirical_dmin_ensemble(
-    cfg: EnsembleConfig, trials: int
-) -> EmpiricalDminSummary:
-    """Monte Carlo d^2 comparison: joint lift vs independent levels of equal size.
-
-    Each trial draws a fair-coin main code with M distinct words and an
-    independent-level family whose level sizes multiply to the same M
-    (rate bits split as evenly as possible across levels); both lifted
-    constellations go through the exact pair-scan oracle.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    cstar_vals = []
-    c_vals = []
-    level_bits = _split_bits(cfg.k, cfg.L)
-    for t in range(trials):
-        rng = _rng(cfg, stream=1000 + t)
-        words: set[int] = set()
-        nl = cfg.n * cfg.L
-        while len(words) < cfg.num_words:
-            words.update(_random_words(rng, cfg.num_words - len(words), nl))
-        main = MainCode(BinaryCode(nl, sorted(words)), cfg.n, cfg.L)
-        cstar_vals.append(dmin_oracle(construction_cstar(main)))
-        level_codes = []
-        for bits_i in level_bits:
-            target = 1 << bits_i
-            lv: set[int] = set()
-            while len(lv) < target:
-                lv.update(_random_words(rng, target - len(lv), cfg.n))
-            level_codes.append(BinaryCode(cfg.n, sorted(lv)))
-        c_vals.append(dmin_oracle(construction_c(level_codes)))
-    return EmpiricalDminSummary(
-        trials=trials,
-        cstar_mean=float(np.mean(cstar_vals)),
-        cstar_min=int(min(cstar_vals)),
-        cstar_max=int(max(cstar_vals)),
-        c_mean=float(np.mean(c_vals)),
-        c_min=int(min(c_vals)),
-        c_max=int(max(c_vals)),
-    )

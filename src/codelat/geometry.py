@@ -5,7 +5,7 @@ coordinate once the free integer translate is minimised, so the centered
 residue (the representative of a difference in (-q/2, q/2], ties kept
 positive) is the workhorse here: pair scans for minimum distances,
 per-coordinate translate counts for exact distance spectra, and the
-digit-count decomposition of a coset's distance to zero.
+per-coordinate costs of a coset's distance to zero.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .constructions import (
     construction_cstar,
     rep_keys,
 )
-from .gf2 import BinaryCode, BitWord, as_word, gf2_min_weight
+from .gf2 import BinaryCode, as_word, gf2_min_weight
 
 _BLOCK = 1024  # pair tiles of _BLOCK/16 x 4*_BLOCK; spectrum blocks of ~_BLOCK^2 keys
 _KEY_BITS = 63  # one composition-key chunk fills a nonnegative int64
@@ -51,32 +51,6 @@ class DistanceSpectrum:
                 {"d2": d2, "count": self.entries[d2]} for d2 in sorted(self.entries)
             ],
         }
-
-
-@dataclass(frozen=True)
-class MCounts:
-    """Digit-value counts of a main codeword's coordinate L-tuples.
-
-    ``m[i-1]`` counts coordinates whose stacked digit equals i or q - i
-    (level 1 least significant), for i = 1..2^(L-1); zero digits are
-    uncounted.  The coset's squared distance to zero is sum(i^2 * m_i).
-    """
-
-    m: tuple[int, ...]
-    n: int
-    L: int
-
-    def d2_to_zero(self) -> int:
-        return sum((i + 1) ** 2 * cnt for i, cnt in enumerate(self.m))
-
-    def total(self) -> int:
-        return sum(self.m)
-
-
-def centered_residue(value: int, q: int) -> int:
-    """Representative of value mod q inside (-q/2, q/2], ties positive."""
-    r = value % q
-    return r if r <= q // 2 else r - q
 
 
 def _tile() -> tuple[int, int]:
@@ -189,26 +163,9 @@ def dmin_formula_c(codes: Sequence[BinaryCode]) -> int:
     codes: ``dmin_formula_levels`` of their bases' minimum weights."""
     if not codes:
         raise ValueError("need at least one level code")
-    if any(code.linear is not True for code in codes):
+    if not all(code.linear for code in codes):
         raise ValueError("the distance formula requires verified-linear codes")
     return dmin_formula_levels([gf2_min_weight(code.basis()) for code in codes])
-
-
-def mcounts(word, n: int, L: int) -> MCounts:
-    """Digit-value counts of a main codeword (see MCounts)."""
-    w = word.bits if isinstance(word, BitWord) else int(word)
-    q = 1 << L
-    half = 1 << (L - 1)
-    counts = [0] * half
-    mask = (1 << n) - 1
-    levels = [(w >> (i * n)) & mask for i in range(L)]
-    for j in range(n):
-        digit = sum(((levels[i] >> j) & 1) << i for i in range(L))
-        if digit == 0:
-            continue
-        v = digit if digit <= half else q - digit
-        counts[v - 1] += 1
-    return MCounts(m=tuple(counts), n=n, L=L)
 
 
 def dmin_to_zero(obj: PeriodicConstellation | MainCode) -> int:
@@ -290,8 +247,8 @@ def dmin_upper_bound_antiprojection(main: MainCode) -> int:
     0: each nonzero word s of S_i(0) places a constellation point
     2^(i-1) * s next to zero.  ``dmin_formula_levels`` of their minimum
     weights, read off the generators (``antiprojection_zero_bases``) for a
-    verified-linear code and from the enumerated S_i(0) otherwise."""
-    if main.linear is True:
+    linear code and from the enumerated S_i(0) otherwise."""
+    if main.linear:
         return dmin_formula_levels([gf2_min_weight(b) for b in main.antiprojection_zero_bases()])
     zeros = [0] * (main.L - 1)
     anti = [antiprojection(main, i, zeros) for i in range(1, main.L + 1)]

@@ -6,8 +6,7 @@ length.  A code of length n <= 64 stores its words once, as a sorted,
 deduplicated, read-only ``np.uint64`` array, so membership is a binary
 search and weights, XORs and Schur products run over the whole array.
 Codes carry an optional generator matrix (columns are basis words) and a
-tri-state linearity flag: ``True`` / ``False`` when verified, ``None`` when
-the set was too large to verify and no generator was supplied.
+linearity flag, always verified from the words.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 1 << 26
-LINEARITY_VERIFY_LIMIT = 1 << 12
+_VERIFY_SLICE = 1 << 16  # words per comparison in the linearity pass
 MAX_CODE_LENGTH = 64  # one np.uint64 per codeword
 
 
@@ -156,10 +155,8 @@ class BinaryCode:
 
     ``words`` is the sorted, read-only ``np.uint64`` array of the codewords;
     convert with ``.tolist()`` before Python-level loops or JSON.
-    ``linear`` is True when linearity is verified (an explicit set of up to
-    ``LINEARITY_VERIFY_LIMIT`` words is checked in one vectorised pass, see
-    ``_verify_linearity``), False when verified non-linear, and None when
-    the set was too large to verify and no generator was given.
+    ``linear`` tells whether the words form a linear code; every set is
+    checked in one vectorised pass (see ``_verify_linearity``).
     """
 
     __slots__ = ("n", "words", "generator", "linear")
@@ -169,7 +166,6 @@ class BinaryCode:
         n: int,
         words: Iterable[int],
         generator: tuple[int, ...] | None = None,
-        linear: bool | None = None,
     ):
         if not 1 <= n <= MAX_CODE_LENGTH:
             raise ValueError(f"code length must be in 1..{MAX_CODE_LENGTH}, got {n}")
@@ -187,27 +183,28 @@ class BinaryCode:
         self.n = n
         self.words = arr
         self.generator = generator
-        if linear is None:
-            linear = self._verify_linearity()
-        self.linear = linear
+        self.linear = self._verify_linearity()
 
-    def _verify_linearity(self) -> bool | None:
+    def _verify_linearity(self) -> bool:
         """One doubling pass: a linear code's sorted words are the XOR-doubling
         enumeration of its fully reduced basis ``words[1 << j]``, and a set of
-        2^k distinct words that this enumeration reproduces is that span."""
+        2^k distinct words that this enumeration reproduces is that span.
+        Compared in slices of ``_VERIFY_SLICE`` words, so the temporaries
+        stay small whatever the size."""
         size, words = len(self), self.words
         if not size or words[0] != 0:
             return False
         if self.generator is not None:
             return True
-        if size > LINEARITY_VERIFY_LIMIT:
-            return None  # too large to verify, flagged unverified
         if size & (size - 1):
             return False
-        return all(
-            np.array_equal(words[1 << j : 2 << j], words[: 1 << j] ^ words[1 << j])
-            for j in range(size.bit_length() - 1)
-        )
+        for j in range(size.bit_length() - 1):
+            half, top = 1 << j, words[1 << j]
+            for s in range(0, half, _VERIFY_SLICE):
+                t = min(s + _VERIFY_SLICE, half)
+                if not np.array_equal(words[half + s : half + t], words[s:t] ^ top):
+                    return False
+        return True
 
     @classmethod
     def from_words(cls, words: Iterable, n: int | None = None) -> "BinaryCode":
@@ -268,14 +265,11 @@ class BinaryCode:
     def __repr__(self) -> str:
         return f"BinaryCode(n={self.n}, size={len(self)}, linear={self.linear})"
 
-    def bitwords(self) -> Iterator[BitWord]:
-        return (BitWord(w, self.n) for w in self.words.tolist())
-
     def basis(self) -> list[int]:
         """A basis of the span, leading bits descending.
 
-        The reduced stored generator if there is one.  Else, for a verified
-        linear code, the fully reduced basis read off the sorted words in
+        The reduced stored generator if there is one.  Else, for a linear
+        code, the fully reduced basis read off the sorted words in
         O(k): they enumerate its span by XOR doubling, so ``words[1 << j]``
         is its j-th word.  Else one reduced from all the words.
         """
@@ -344,7 +338,7 @@ def enumerate_from_generator(
     words = np.zeros(size, dtype=np.uint64)
     for j, b in enumerate(reduced):
         np.bitwise_xor(words[: 1 << j], np.uint64(b), out=words[1 << j : 2 << j])
-    return BinaryCode(n, words, generator=tuple(cols), linear=True)
+    return BinaryCode(n, words, generator=tuple(cols))
 
 
 def gf2_min_weight(basis: Sequence[int]) -> int | None:
@@ -380,7 +374,7 @@ def gf2_min_weight(basis: Sequence[int]) -> int | None:
 def min_hamming_distance(code: BinaryCode) -> int:
     """Minimum Hamming distance over all distinct codeword pairs.
 
-    For verified-linear codes this is the minimum nonzero weight; otherwise
+    For linear codes this is the minimum nonzero weight; otherwise
     a full pair scan runs.
     """
     if len(code) < 2:

@@ -179,7 +179,7 @@ def thm1_check(codes: Sequence[BinaryCode]) -> LatticenessReport:
     """
     t0 = time.perf_counter()
     for code in codes:
-        if code.linear is not True:
+        if not code.linear:
             raise ValueError("the nested-chain test requires verified-linear codes")
     for i in range(len(codes) - 1):
         if not is_nested(codes[i], codes[i + 1]):
@@ -341,7 +341,7 @@ def thm5_check(main: MainCode, budget: int = DEFAULT_PAIR_BUDGET) -> Latticeness
     counts the pairs tested.
     """
     t0 = time.perf_counter()
-    if main.linear is not True:
+    if not main.linear:
         raise ValueError("the carry-set test requires a verified-linear main code")
     n, L = main.n, main.L
     basis = main.generators()
@@ -394,7 +394,7 @@ def thm4_check(main: MainCode) -> LatticenessReport:
     closure on basis pairs of C_{i-1}.  No word is enumerated.
     """
     t0 = time.perf_counter()
-    if main.linear is not True:
+    if not main.linear:
         raise ValueError("the chain test requires a verified-linear main code")
     proj = main.projection_bases()
     anti = main.antiprojection_zero_bases()
@@ -449,9 +449,9 @@ def schur_parity_scan(code: BinaryCode) -> tuple[int, int]:
     when r = 0): each x off the 2^(k-r)-word radical pairs oddly with half
     the code.  On the diagonal <x, x> is the weight parity, a linear form,
     odd on half the code unless every basis word has even weight.  Needs a
-    verified-linear code.
+    linear code.
     """
-    if code.linear is not True:
+    if not code.linear:
         raise ValueError("the Schur parity count requires a verified-linear code")
     basis = code.basis()
     k = len(basis)

@@ -59,6 +59,7 @@ def _cases() -> list[tuple[str, list[str], dict[str, str]]]:
         ("table1-out", "table1 --out table1.json", {}),
         ("check-thm4-leech", "check --lattice thm4 --catalog leech", {}),
         ("check-all-leech", "check --lattice all --catalog leech", {}),
+        ("check-all-dnplus7-cap8", "check --lattice all --catalog dnplus --n 7 --cap 8", {}),
     ]
     inputs = {
         "ex2-c": "--catalog ex2 --kind c",

@@ -24,13 +24,11 @@ from codelat.constructions import (
     rep_keys,
 )
 from codelat.gf2 import (
-    LINEARITY_VERIFY_LIMIT,
     BinaryCode,
     BitWord,
     LengthMismatchError,
     as_word,
     enumerate_from_generator,
-    gf2_reduce_basis,
 )
 from codelat.latticeness import (
     DEFAULT_PAIR_BUDGET,
@@ -340,7 +338,7 @@ def random_words(rng: np.random.Generator, count: int, n: int) -> list[int]:
 
 def random_linear_code(rng: np.random.Generator, n: int, k: int) -> BinaryCode:
     if k == 0:
-        return BinaryCode(n, [0], linear=True)
+        return BinaryCode(n, [0])
     cols = [int(x) for x in rng.integers(0, 1 << n, size=k, dtype=np.uint64)]
     return enumerate_from_generator(cols, n=n)
 
@@ -411,7 +409,7 @@ def thm5_full_scan(
     word order) whose carry tuple falls outside the code.
     """
     t0 = time.perf_counter()
-    if main.inner.linear is not True:
+    if not main.inner.linear:
         raise ValueError("the carry-set test requires a verified-linear main code")
     _check_pair_budget(main, budget)
     levels = main.levels()
@@ -511,17 +509,19 @@ def compare_cstar_vs_c(
     return compare_from_logs(main.n, d1_squared, d2_squared, ratio)
 
 
-def oracle_linearity(code: BinaryCode) -> bool | None:
+def oracle_linearity(code: BinaryCode) -> bool:
     """The linearity flag by the rank argument: a set containing zero is
-    linear iff its size is exactly 2**rank, with the rank reduced from
-    every word."""
+    linear iff its size is exactly 2**rank, with the rank found by
+    eliminating the largest remaining word's leading bit from every word."""
     if not len(code) or code.words[0] != 0:
         return False
     if code.generator is not None:
         return True
-    if len(code) > LINEARITY_VERIFY_LIMIT:
-        return None
-    return len(code) == 1 << len(gf2_reduce_basis(code.words.tolist()))
+    rest, rank = code.words, 0
+    while rest.any():
+        rest = np.minimum(rest, rest ^ rest.max())
+        rank += 1
+    return len(code) == 1 << rank
 
 
 def oracle_schur_parity_scan(code: BinaryCode) -> tuple[int, int]:

@@ -79,7 +79,7 @@ def test_dn_plus():
 
 def test_worked_example_word_lists():
     ex4 = catalog.worked_example("ex4")
-    assert {w.to_tuple() for w in ex4.inner.bitwords()} == {
+    assert {BitWord(w, ex4.inner.n).to_tuple() for w in ex4.inner.words.tolist()} == {
         (0, 0, 0, 0),
         (1, 0, 0, 1),
         (1, 0, 1, 0),
@@ -87,7 +87,7 @@ def test_worked_example_word_lists():
     }
     ex10 = catalog.worked_example("ex10")
     assert ex10.n == 1 and ex10.L == 3
-    assert {w.to_tuple() for w in ex10.inner.bitwords()} == {
+    assert {BitWord(w, ex10.inner.n).to_tuple() for w in ex10.inner.words.tolist()} == {
         (0, 0, 0),
         (1, 0, 1),
         (0, 1, 1),
@@ -105,7 +105,7 @@ def test_worked_example_word_lists():
 
 def test_worked_examples_reproduce_projections():
     c1, c2 = projection_codes(catalog.worked_example("ex4"))
-    assert sorted(w.to_tuple() for w in c1.bitwords()) == [(0, 0), (1, 0)]
+    assert sorted(BitWord(w, c1.n).to_tuple() for w in c1.words.tolist()) == [(0, 0), (1, 0)]
     assert len(c2) == 4
     ex13 = catalog.worked_example("ex13")
     p1, p2 = projection_codes(ex13)

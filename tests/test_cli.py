@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from codelat.cli import main, table1_rows
 from codelat.constructions import PeriodicConstellation
-from oracles import oracle_eds
+from codelat.gf2 import enumerate_from_generator, format_code_file
+from oracles import oracle_eds, random_words
 
 
 def run_cli(capsys, *argv):
@@ -298,18 +300,68 @@ def test_check_all_on_nonlinear_main_code_runs_brute(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["--catalog", "leech"], ["--catalog", "ex9", "--cap", "2"]],
-    ids=["leech", "ex9-cap-2"],
+    "argv, methods",
+    [
+        (["--catalog", "leech"], ["thm4", "thm5"]),
+        (["--catalog", "ex9", "--cap", "2"], ["thm4", "thm5"]),
+        (["--catalog", "ex4", "--kind", "c", "--cap", "4"], ["thm4", "thm5"]),
+        (["--catalog", "dnplus", "--n", "7", "--cap", "8"], ["thm1"]),
+    ],
+    ids=["leech", "ex9-cap-2", "ex4-associated-c-cap-4", "dnplus7-cap-8"],
 )
-def test_check_all_past_the_cap_runs_the_code_level_tests(capsys, argv):
-    # brute would lift more words than --cap; thm4 and thm5 read the basis
+def test_check_all_past_the_cap_runs_the_code_level_tests(capsys, argv, methods):
+    # brute would lift more reps than --cap (ex4 has 4 words, but its
+    # associated Construction C has 8 reps; D_7+ has 128); the code-level
+    # tests read the bases
     code, out, _ = run_cli(capsys, "check", "--lattice", "all", *argv)
     assert code == 0
     verdicts = json.loads(out)["lattice"]
+    assert list(verdicts) == methods
+    method = methods[-1]
+    _, alone, _ = run_cli(capsys, "check", "--lattice", method, *argv)
+    assert verdicts[method] == json.loads(alone)["lattice"][method]
+
+
+def _explicit_file(path, code):
+    path.write_text(format_code_file(code))
+    return str(path)
+
+
+def test_check_thm1_on_explicit_files_past_4096_words(capsys, tmp_path):
+    even = enumerate_from_generator([0b11 << j for j in range(13)], n=14)
+    full = enumerate_from_generator([1 << j for j in range(14)], n=14)
+    code, out, _ = run_cli(
+        capsys, "check", "--lattice", "thm1",
+        "--code", _explicit_file(tmp_path / "even14.code", even),
+        "--code", _explicit_file(tmp_path / "full14.code", full),
+    )
+    assert code == 0
+    assert json.loads(out)["lattice"]["thm1"]["verdict"] == "lattice"
+
+
+@pytest.mark.parametrize("seed", [None, 3], ids=["even-by-full", "random"])
+def test_check_all_on_an_explicit_main_code_past_the_cap(capsys, tmp_path, seed):
+    # 2^13 words in n = 7, L = 2: the product of the even-weight and the full
+    # code (a lattice), or a random linear code; given by its words
+    if seed is None:
+        rows = [0b11 << j for j in range(6)] + [1 << (7 + j) for j in range(7)]
+    else:
+        rows = random_words(np.random.default_rng(seed), 13, 14)
+    main = enumerate_from_generator(rows, n=14)
+    assert len(main) == 1 << 13
+    explicit = _explicit_file(tmp_path / "main.code", main)
+    generator = tmp_path / "gen.code"
+    generator.write_text(format_code_file(main, explicit=False))
+    form = ["--n", "7", "--L", "2"]
+    code, out, _ = run_cli(
+        capsys, "check", "--lattice", "all", "--code", explicit, *form, "--cap", "4096"
+    )
+    assert code == 0
+    verdicts = json.loads(out)["lattice"]
     assert list(verdicts) == ["thm4", "thm5"]
-    _, thm5, _ = run_cli(capsys, "check", "--lattice", "thm5", *argv)
-    assert verdicts["thm5"] == json.loads(thm5)["lattice"]["thm5"]
+    _, thm5, _ = run_cli(capsys, "check", "--lattice", "thm5", "--code", str(generator), *form)
+    assert verdicts["thm5"]["verdict"] == json.loads(thm5)["lattice"]["thm5"]["verdict"]
+    assert seed is not None or verdicts["thm5"]["verdict"] == "lattice"
 
 
 def test_threads_flag_parses_without_effect(capsys):

@@ -167,7 +167,7 @@ def test_construction_d_chain_basis_is_the_sorted_word_scan():
         ks = sorted(int(k) for k in rng.integers(0, n + 1, size=L))
         codes = [enumerate_from_generator(gens[:k], n=n) for k in ks]
         assert _greedy_chain_basis(codes) == oracle_greedy_chain_basis(codes)
-        words = [BinaryCode(n, code.words, linear=True) for code in codes]
+        words = [BinaryCode(n, code.words) for code in codes]
         assert _greedy_chain_basis(words) == oracle_greedy_chain_basis(codes)
 
 
@@ -193,7 +193,7 @@ def test_construction_d_reps_are_the_sorted_expansions():
         gens = [int(x) for x in rng.integers(1, 1 << n, size=n, dtype=np.uint64)]
         ks = sorted(int(k) for k in rng.integers(0, n + 1, size=L))
         codes = [
-            enumerate_from_generator(gens[:k], n=n) if k else BinaryCode(n, [0], linear=True)
+            enumerate_from_generator(gens[:k], n=n) if k else BinaryCode(n, [0])
             for k in ks
         ]
         basis, chain = _greedy_chain_basis(codes)
@@ -214,7 +214,7 @@ def test_projection_codes_examples():
     c1, c2 = projection_codes(catalog.worked_example("ex4"))
     assert c1.words.tolist() == [0b00, 0b01] and len(c2) == 4
     c1, _, _ = projection_codes(catalog.worked_example("ex9"))
-    assert sorted(w.to_tuple() for w in c1.bitwords()) == [(0, 0), (1, 0)]
+    assert sorted(BitWord(w, c1.n).to_tuple() for w in c1.words.tolist()) == [(0, 0), (1, 0)]
 
 
 def test_projection_codes_of_product_recover_factors():
@@ -226,17 +226,17 @@ def test_projection_codes_of_product_recover_factors():
 def test_antiprojection_examples():
     main = catalog.worked_example("ex5")
     s2_zero = antiprojection(main, 2, [BitWord.from_string("00")])
-    assert sorted(w.to_tuple() for w in s2_zero.bitwords()) == [(0, 0), (1, 0)]
+    assert sorted(BitWord(w, s2_zero.n).to_tuple() for w in s2_zero.words.tolist()) == [(0, 0), (1, 0)]
     s2_one = antiprojection(main, 2, [BitWord.from_string("10")])
-    assert sorted(w.to_tuple() for w in s2_one.bitwords()) == [(0, 1), (1, 1)]
+    assert sorted(BitWord(w, s2_one.n).to_tuple() for w in s2_one.words.tolist()) == [(0, 1), (1, 1)]
 
 
 def test_antiprojection_ex9_at_zero():
     main = catalog.worked_example("ex9")
     s1 = antiprojection(main, 1, [0, 0])
-    assert sorted(w.to_tuple() for w in s1.bitwords()) == [(0, 0)]
+    assert sorted(BitWord(w, s1.n).to_tuple() for w in s1.words.tolist()) == [(0, 0)]
     s2 = antiprojection(main, 2, [0, 0])
-    assert sorted(w.to_tuple() for w in s2.bitwords()) == [(0, 0)]
+    assert sorted(BitWord(w, s2.n).to_tuple() for w in s2.words.tolist()) == [(0, 0)]
 
 
 def test_antiprojection_can_be_empty():
@@ -270,8 +270,15 @@ def test_constellation_json_roundtrip():
     assert again == P
 
 
+def test_product_main_code_linearity_is_read_from_the_words():
+    full = enumerate_from_generator([1 << j for j in range(6)], n=6)
+    even = enumerate_from_generator([0b11 << j for j in range(5)], n=6)
+    assert product_main_code([even, full, full]).linear is True  # 2^17 words
+    assert product_main_code([even, BinaryCode(6, [0, 1, 2]), full]).linear is False
+
+
 def test_enumeration_cap_paths():
-    big = MainCode(BinaryCode(16, range(16), linear=None), 8, 2)
+    big = MainCode(BinaryCode(16, range(16)), 8, 2)
     with pytest.raises(EnumerationCapError):
         construction_cstar(big, cap=4)
 

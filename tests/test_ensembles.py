@@ -11,20 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codelat import catalog
 from codelat.ensembles import (
     EnsembleConfig,
     _chi2_sf,
     binary_entropy,
     condition_checks,
-    empirical_dmin_ensemble,
     gvb_maximize,
     gvb_packing_efficiency,
-    gvb_size_check,
     sample_main_code,
     scaled_point_density,
 )
-from codelat.gf2 import BinaryCode
 from oracles import oracle_chi2_sf
 
 
@@ -206,18 +202,6 @@ def test_gvb_curve_shape_past_optimum():
     assert all(r < peak for r in tail)
 
 
-def test_gvb_size_check():
-    golay = catalog.golay24()
-    # exact ball size sum(C(24, w), w <= 7) = 536155; 4096 * 536155 >= 2^24
-    ball = sum(math.comb(24, w) for w in range(8))
-    assert ball == 536155
-    assert 4096 * ball >= 1 << 24
-    assert gvb_size_check(golay)
-    assert gvb_size_check(catalog.repetition_code(6))
-    with pytest.raises(ValueError):
-        gvb_size_check(BinaryCode(4, [0]))
-
-
 def test_condition_checks_flags_dependence():
     cfg = EnsembleConfig(n=2, L=2, rate=0.5, seed=1234)
     report = condition_checks(cfg, trials=100000)
@@ -239,28 +223,3 @@ def test_condition_checks_rejects_large_alphabet():
     cfg = EnsembleConfig(n=4, L=3, rate=0.5, seed=0)
     with pytest.raises(ValueError):
         condition_checks(cfg, trials=10)
-
-
-def test_empirical_dmin_reproducible():
-    cfg = EnsembleConfig(n=4, L=2, rate=0.5, seed=5)
-    a = empirical_dmin_ensemble(cfg, trials=1)
-    b = empirical_dmin_ensemble(cfg, trials=1)
-    assert a == b
-    assert a.cstar_min >= 1 and a.c_min >= 1
-
-
-def test_empirical_dmin_single_level_identical_ensemble():
-    cfg = EnsembleConfig(n=4, L=1, rate=0.5, seed=6)
-    summary = empirical_dmin_ensemble(cfg, trials=40)
-    # with one level both draws follow the same recipe; distributions of
-    # d^2 should sit in the same small range
-    assert abs(summary.cstar_mean - summary.c_mean) <= 2.0
-    assert summary.cstar_max <= 4 and summary.c_max <= 4
-
-
-def test_empirical_dmin_summary_direction():
-    cfg = EnsembleConfig(n=4, L=2, rate=0.5, seed=7)
-    summary = empirical_dmin_ensemble(cfg, trials=60)
-    # reported, not asserted as a theorem: the joint lift tends to do at
-    # least as well on average on this seeded run
-    assert summary.cstar_mean >= summary.c_mean - 0.5

@@ -13,7 +13,6 @@ from codelat.constructions import (
     construction_cstar,
 )
 from codelat.geometry import (
-    centered_residue,
     distance_spectrum,
     dmin_formula_c,
     dmin_oracle,
@@ -23,9 +22,8 @@ from codelat.geometry import (
     eds_check,
     equi_min_distance_check,
     isometry_orbit_check,
-    mcounts,
 )
-from codelat.gf2 import BinaryCode, BitWord, enumerate_from_generator
+from codelat.gf2 import BinaryCode, enumerate_from_generator
 from oracles import (
     oracle_antiprojection_set,
     oracle_eds,
@@ -36,12 +34,6 @@ from oracles import (
     random_linear_main_code,
     random_words,
 )
-
-
-def test_centered_residue_convention():
-    assert centered_residue(2, 4) == 2  # tie goes positive
-    assert centered_residue(3, 4) == -1
-    assert centered_residue(5, 8) == -3
 
 
 def test_dmin_oracle_examples():
@@ -74,47 +66,6 @@ def test_dmin_formula_matches_oracle():
         L = int(rng.integers(1, 4))
         codes = [random_linear_code(rng, n, int(rng.integers(0, n + 1))) for _ in range(L)]
         assert dmin_formula_c(codes) == dmin_oracle(construction_c(codes))
-
-
-def test_mcounts_examples():
-    m = mcounts(BitWord.from_bits([1, 0, 0, 0, 0, 0]), n=3, L=2)
-    assert m.m == (1, 0) and m.d2_to_zero() == 1
-    # all-ones tuple at w coordinates counts into m_1
-    m = mcounts(BitWord.from_bits([1, 1, 0] + [1, 1, 0]), n=3, L=2)
-    assert m.m[0] == 2
-    # value 5 at a single coordinate (n=1, L=3) has centered magnitude 3
-    m = mcounts(BitWord.from_bits([1, 0, 1]), n=1, L=3)
-    assert m.m == (0, 0, 1, 0) and m.d2_to_zero() == 9
-
-
-def _centered_norm_of_word(word: int, n: int, L: int) -> int:
-    q = 1 << L
-    mask = (1 << n) - 1
-    levels = [(word >> (i * n)) & mask for i in range(L)]
-    norm = 0
-    for j in range(n):
-        digit = sum(((levels[i] >> j) & 1) << i for i in range(L))
-        norm += min(digit * digit, (q - digit) * (q - digit))
-    return norm
-
-
-def test_mcounts_reconstruct_centered_norm_exhaustive():
-    # every word of a few full shapes with n*L <= 12
-    for n, L in ((4, 3), (2, 4), (6, 2), (1, 3)):
-        for word in range(1 << (n * L)):
-            m = mcounts(word, n, L)
-            assert m.d2_to_zero() == _centered_norm_of_word(word, n, L)
-            assert m.total() <= n
-
-
-def test_mcounts_weight_over_levels_bound():
-    rng = np.random.default_rng(73)
-    for _ in range(200):
-        n = int(rng.integers(1, 5))
-        L = int(rng.integers(1, 4))
-        word = int(rng.integers(0, 1 << (n * L), dtype=np.uint64))
-        m = mcounts(word, n, L)
-        assert L * m.d2_to_zero() >= word.bit_count()
 
 
 def test_dmin_to_zero_examples():
@@ -185,7 +136,7 @@ def test_structured_solver_matches_enumeration():
             for last in even.words.tolist():
                 lifted = last if parity == 0 else last ^ 1  # flip one bit for odd
                 words.append(pw | (lifted << ((L - 1) * n)))
-        main = MainCode(BinaryCode(n * L, words, linear=None), n, L)
+        main = MainCode(BinaryCode(n * L, words), n, L)
         P = construction_cstar(main)
         expected = dmin_to_zero(P)
         assert expected == min(_top_digit_norms(P) + [P.q * P.q])

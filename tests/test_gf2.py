@@ -85,7 +85,7 @@ def test_carry_identity_random(n, data):
 
 def test_enumerate_identity_generator():
     code = enumerate_from_generator([[1, 0], [0, 1]])
-    assert sorted(w.to_tuple() for w in code.bitwords()) == [
+    assert sorted(BitWord(w, code.n).to_tuple() for w in code.words.tolist()) == [
         (0, 0),
         (0, 1),
         (1, 0),
@@ -96,7 +96,7 @@ def test_enumerate_identity_generator():
 
 def test_enumerate_repetition_column():
     code = enumerate_from_generator([[1, 1]])
-    assert sorted(w.to_tuple() for w in code.bitwords()) == [(0, 0), (1, 1)]
+    assert sorted(BitWord(w, code.n).to_tuple() for w in code.words.tolist()) == [(0, 0), (1, 1)]
 
 
 def test_enumerate_size_is_power_of_rank():
@@ -196,9 +196,10 @@ def test_basis_read_off_linear_words_matches_reduction():
         code = BinaryCode(n, words)  # no generator: verified from the words
         assert code.linear is True and code.generator is None
         assert code.basis() == gf2_reduce_basis(words.tolist())
-    # past the verify limit a caller vouches for linearity, as product codes do
+    # past 4096 words as well: every word set is verified
     words = random_linear_code(rng, 20, 13).words
-    assert BinaryCode(20, words, linear=True).basis() == gf2_reduce_basis(words.tolist())
+    code = BinaryCode(20, words)
+    assert code.linear is True and code.basis() == gf2_reduce_basis(words.tolist())
 
 
 def test_linearity_flag_matches_rank_oracle():
@@ -216,6 +217,48 @@ def test_linearity_flag_matches_rank_oracle():
             if len(ws):
                 code = BinaryCode(n, ws)
                 assert code.linear == oracle_linearity(code)
+
+
+def test_linearity_of_large_sets_matches_rank_oracle():
+    # 2^13 to 2^16 words: the linear set, one word dropped, one word added,
+    # and one word swapped for a non-codeword at a random index and at the
+    # last (the size stays 2^k with zero in, so only the doubling pass can
+    # reject it)
+    rng = np.random.default_rng(193)
+    for k in range(13, 17):
+        n = int(rng.integers(k + 4, 41))
+        words = random_linear_code(rng, n, k).words
+        assert len(words) == 1 << k
+        code = BinaryCode(n, words)
+        outside = next(w for w in random_words(rng, 64, n) if w not in code)
+        sets = [
+            words,
+            np.delete(words, int(rng.integers(1, len(words)))),
+            np.append(words, np.uint64(outside)),
+        ]
+        for i in (int(rng.integers(1, len(words))), len(words) - 1):
+            swapped = words.copy()
+            swapped[i] = outside
+            sets.append(swapped)
+        for j, ws in enumerate(sets):
+            code = BinaryCode(n, ws)
+            assert code.linear is oracle_linearity(code) is (j == 0)
+
+
+def test_linearity_pass_memory_is_bounded():
+    # the doubling comparison runs in slices: building a 2^20-word code
+    # allocates its own copy of the words and little more
+    rng = np.random.default_rng(197)
+    words = enumerate_from_generator(random_words(rng, 20, 40), n=40).words
+    assert len(words) == 1 << 20
+    tracemalloc.start()
+    try:
+        code = BinaryCode(40, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.linear is True and code.generator is None
+    assert peak < 1.25 * words.nbytes
 
 
 def test_code_file_roundtrip_explicit():

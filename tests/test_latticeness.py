@@ -269,7 +269,7 @@ def test_thm5_low_weight_scan_on_lattice_digit_codes_and_perturbations():
     for trial in range(200):
         n, L = int(rng.integers(2, 5)), int(rng.integers(2, 4))
         main = random_lattice_main_code(rng, n, L, int(rng.integers(1, n + 1)))
-        if main.linear is not True:
+        if not main.linear:
             continue
         if trial % 2:
             extra = int(rng.integers(0, 1 << (n * L)))
@@ -638,7 +638,7 @@ def test_brute_oracle_table_at_and_past_cap(monkeypatch):
 def test_brute_oracle_memory_is_bounded():
     # 4096 reps, n=6, L=3, a full scan: a 2^18-byte table and ~128 KiB blocks
     full = enumerate_from_generator([1 << i for i in range(6)], n=6)
-    zero = BinaryCode(6, [0], linear=True)
+    zero = BinaryCode(6, [0])
     P = construction_cstar(product_main_code([zero, full, full]))
     assert len(P) == 4096
     report, peak = _peak_bytes(lambda: brute_closure_oracle(P))
