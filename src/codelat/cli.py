@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from . import catalog
 from .constructions import (
@@ -46,6 +45,7 @@ from .gf2 import (
 )
 from .latticeness import (
     BudgetExceededError,
+    LatticenessReport,
     brute_closure_oracle,
     thm1_check,
     thm4_check,
@@ -85,50 +85,34 @@ def _status(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-@dataclass
-class RunReport:
-    """Run metadata attached to report payloads.
-
-    ``elapsed_ms`` stays None unless --timings is set, keeping repeated
-    runs with identical inputs byte-identical.
-    """
-
-    command: str
-    inputs: list[str]
-    outputs: list[str]
-    elapsed_ms: float | None = None
-    seed: int | None = None
-
-    def merge_into(self, payload: dict) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "elapsed_ms": self.elapsed_ms,
-            "seed": self.seed,
-            **payload,
-        }
+def _elapsed_ms(args, t0: float) -> float | None:
+    """Milliseconds since ``t0`` under --timings, else None."""
+    return (time.perf_counter() - t0) * 1e3 if getattr(args, "timings", False) else None
 
 
-def _run_inputs(args) -> list[str]:
-    inputs = []
-    if getattr(args, "catalog", None):
-        inputs.append(f"catalog:{args.catalog}")
-    for path in getattr(args, "code", None) or []:
-        inputs.append(f"code:{path}")
-    if getattr(args, "constellation", None):
-        inputs.append(f"constellation:{args.constellation}")
-    return inputs
+def _verdict(check, subject, args) -> LatticenessReport:
+    """``check(subject)``, its report timed under --timings."""
+    t0 = time.perf_counter()
+    report = check(subject)
+    report.elapsed_ms = _elapsed_ms(args, t0)
+    return report
 
 
-def _run_report(args, command: str, t0: float) -> RunReport:
-    return RunReport(
-        command=command,
-        inputs=_run_inputs(args),
-        outputs=[args.out] if getattr(args, "out", None) else ["stdout"],
-        elapsed_ms=(time.perf_counter() - t0) * 1e3 if getattr(args, "timings", False) else None,
-        seed=getattr(args, "seed", None),
-    )
+def _with_run_fields(args, command: str, t0: float, payload: dict, inputs=None) -> dict:
+    """``payload`` after the run fields: command, inputs, outputs, elapsed_ms, seed."""
+    if inputs is None:
+        inputs = [f"catalog:{args.catalog}"] if getattr(args, "catalog", None) else []
+        inputs += [f"code:{path}" for path in getattr(args, "code", None) or []]
+        if getattr(args, "constellation", None):
+            inputs.append(f"constellation:{args.constellation}")
+    return {
+        "command": command,
+        "inputs": inputs,
+        "outputs": [args.out] if args.out else ["stdout"],
+        "elapsed_ms": _elapsed_ms(args, t0),
+        "seed": getattr(args, "seed", None),
+        **payload,
+    }
 
 
 def _load_codes(args) -> list:
@@ -164,6 +148,18 @@ def _resolve_input(args):
     return codes
 
 
+def _lift_kind(obj, kind: str | None) -> str:
+    """The lift ``--kind`` selects for a main code or a list of level codes;
+    a usage error when the input cannot take it."""
+    if isinstance(obj, MainCode):
+        if kind in ("a", "d"):
+            raise ValueError(f"--kind {kind} lifts level codes, not a main code")
+        return kind or "cstar"
+    if kind == "a" and len(obj) > 1:
+        raise ValueError(f"--kind a lifts one level code, got {len(obj)}")
+    return kind or ("a" if len(obj) == 1 else "c")
+
+
 def _as_constellation(obj, kind: str | None, cap: int) -> PeriodicConstellation:
     if isinstance(obj, PeriodicConstellation):
         return obj
@@ -171,25 +167,25 @@ def _as_constellation(obj, kind: str | None, cap: int) -> PeriodicConstellation:
         raise ValueError(
             "the Leech main code is structured; use the leech command"
         )
+    kind = _lift_kind(obj, kind)
     if isinstance(obj, MainCode):
         if kind == "c":
             return associated_construction_c(obj, cap=cap)
         return construction_cstar(obj, cap=cap)
-    if isinstance(obj, list):
-        if kind == "a" or (kind is None and len(obj) == 1):
-            return construction_a(obj[0])
-        if kind == "d":
-            return construction_d(obj, cap=cap)
-        return construction_c(obj, cap=cap)
-    raise ValueError(f"cannot lift input of type {type(obj).__name__}")
+    if kind == "a":
+        return construction_a(obj[0])
+    if kind == "d":
+        return construction_d(obj, cap=cap)
+    return construction_c(obj, cap=cap)  # "cstar" on level codes: C* of their product is C
 
 
 def _lift_size(obj, kind: str | None) -> int:
     """Reps of the lift ``_as_constellation`` would build from linear codes,
     counted from their sizes and ranks without building it."""
+    kind = _lift_kind(obj, kind)
     if isinstance(obj, MainCode):
         return 1 << sum(map(len, obj.projection_bases())) if kind == "c" else obj.num_words
-    if kind == "a" or (kind is None and len(obj) == 1):
+    if kind == "a":
         return len(obj[0])
     if kind == "d":
         return 1 << sum(code.rank() for code in obj)
@@ -209,8 +205,9 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     t0 = time.perf_counter()
     obj = _resolve_input(args)
+    if not isinstance(obj, PeriodicConstellation):
+        _lift_kind(obj, args.kind)  # a --kind the input cannot take is a usage error
     report: dict = {}
-    include_timing = args.timings
     lift = functools.cache(lambda: _as_constellation(obj, args.kind, args.cap))
 
     is_main = isinstance(obj, MainCode)
@@ -230,19 +227,12 @@ def cmd_check(args) -> int:
             raise ValueError("thm1 runs on a list of level codes")
         if args.lattice in ("thm4", "thm5") and not is_main:
             raise ValueError(f"{args.lattice} runs on a main code")
-    verdicts = {}
-    for method in lattice_methods:
-        if method == "thm1":
-            verdicts[method] = thm1_check(obj).as_json(include_timing)
-        elif method == "thm4":
-            if isinstance(obj, catalog.LeechMainCode):
-                verdicts[method] = thm4_check_leech(obj).as_json(include_timing)
-            else:
-                verdicts[method] = thm4_check(obj).as_json(include_timing)
-        elif method == "thm5":
-            verdicts[method] = thm5_check(obj).as_json(include_timing)
-        elif method == "brute":
-            verdicts[method] = brute_closure_oracle(lift()).as_json(include_timing)
+    thm4 = thm4_check_leech if isinstance(obj, catalog.LeechMainCode) else thm4_check
+    deciders = {"brute": brute_closure_oracle, "thm1": thm1_check, "thm4": thm4, "thm5": thm5_check}
+    verdicts = {
+        method: _verdict(deciders[method], lift() if method == "brute" else obj, args).as_json()
+        for method in lattice_methods
+    }
     if verdicts:
         report["lattice"] = verdicts
 
@@ -264,7 +254,7 @@ def cmd_check(args) -> int:
             report["spectrum"] = distance_spectrum(
                 constellation, rep, radius
             ).as_json()
-    _emit(_run_report(args, "check", t0).merge_into(report), args.out)
+    _emit(_with_run_fields(args, "check", t0, report), args.out)
     _status(f"check done in {(time.perf_counter() - t0) * 1e3:.1f} ms")
     return 0
 
@@ -402,7 +392,7 @@ def cmd_gvb(args) -> int:
 def cmd_leech(args) -> int:
     t0 = time.perf_counter()
     leech = catalog.leech_main_code()
-    chain_report = thm4_check_leech(leech)
+    chain_report = _verdict(thm4_check_leech, leech, args)
     d2 = dmin_to_zero_structured(leech.prefixes(), n=24, L=3)
     pack = packing_report_from_counts(24, 3, leech.num_words, d2)
     d2_assoc, log2_assoc = _associated_formula(leech)
@@ -410,7 +400,7 @@ def cmd_leech(args) -> int:
     compare = compare_from_logs(24, d2, d2_assoc, log2_assoc - len(leech.generators()))
     scan = chain_report.detail["closures"][-1]
     payload = {
-        "latticeness": chain_report.as_json(args.timings),
+        "latticeness": chain_report.as_json(),
         "dmin2": d2,
         "dmin2_upper_bound": dmin_upper_bound_antiprojection(leech),
         "packing": pack.as_json(),
@@ -425,9 +415,7 @@ def cmd_leech(args) -> int:
             "violations": scan["violations"],
         },
     }
-    run = _run_report(args, "leech", t0)
-    run.inputs = ["catalog:leech"]
-    _emit(run.merge_into(payload), args.out)
+    _emit(_with_run_fields(args, "leech", t0, payload, inputs=["catalog:leech"]), args.out)
     _status(f"leech pipeline done in {time.perf_counter() - t0:.2f} s")
     return 0
 
@@ -440,19 +428,26 @@ def cmd_conditions(args) -> int:
         "config": {"n": cfg.n, "L": cfg.L, "rate": cfg.rate, "seed": cfg.seed},
         "report": report.as_json() if report else None,
     }
-    _emit(_run_report(args, "conditions", t0).merge_into(payload), args.out)
+    _emit(_with_run_fields(args, "conditions", t0, payload), args.out)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports an argument error as every other usage error: one line, exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="codelat",
         description="Multilevel constellations from binary codes",
     )
     parser.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_kind=True):
+    def add_common(p):
         p.add_argument("--catalog", help="catalog id (ex4, ex9, dnplus, leech, ...)")
         p.add_argument("--code", action="append", help="code file (repeatable)")
         p.add_argument("--constellation", help="constellation JSON file")
@@ -460,10 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--L", type=int, help="number of levels")
         p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--timings", action="store_true",
-                       help="include elapsed_ms in JSON (breaks byte-identity)")
-        if with_kind:
-            p.add_argument("--kind", choices=["a", "c", "cstar", "d"])
+        p.add_argument("--kind", choices=["a", "c", "cstar", "d"])
 
     p_construct = sub.add_parser("construct", help="lift codes to a constellation")
     add_common(p_construct)
@@ -471,6 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="latticeness and geometry reports")
     add_common(p_check)
+    p_check.add_argument("--timings", action="store_true",
+                         help="include elapsed_ms in JSON (breaks byte-identity)")
     p_check.add_argument(
         "--lattice", choices=["brute", "thm1", "thm4", "thm5", "all"]
     )
@@ -507,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (
         CodeFileError,

@@ -53,10 +53,6 @@ class EnsembleConfig:
     def num_words(self) -> int:
         return 1 << self.k
 
-    @property
-    def realized_rate(self) -> float:
-        return self.k / (self.n * self.L)
-
 
 def _rng(cfg: EnsembleConfig, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((cfg.seed, stream)))
@@ -188,9 +184,7 @@ def _chi_square_independence(table: np.ndarray) -> ChiSquareResult:
     return ChiSquareResult(stat, dof, _chi2_sf(stat, dof))
 
 
-def condition_checks(
-    cfg: EnsembleConfig, trials: int, schedule_points: int = 5
-) -> ConditionReport | None:
+def condition_checks(cfg: EnsembleConfig, trials: int) -> ConditionReport | None:
     """Empirical tallies of the uniformity and pairwise-independence claims.
 
     Per trial: two independent fair-coin main codewords give a pair of
@@ -198,7 +192,7 @@ def condition_checks(
     level-1 word with the first, modelling two elements of an
     independent-level lift that coincide on the least significant level.
     The scaled-period and resolution numbers are reported for a
-    q(n) = n^(1/(2R)) growth schedule, not asserted.
+    q(n) = n^(1/(2R)) growth schedule at n = 4, 16, ..., 4^5, not asserted.
     """
     if trials == 0:
         return None
@@ -224,7 +218,7 @@ def condition_checks(
     )
     a_star, density = scaled_point_density(cfg)
     schedule = []
-    for idx in range(schedule_points):
+    for idx in range(5):
         n_val = 4 ** (idx + 1)
         q_val = n_val ** (1.0 / (2.0 * cfg.rate))
         schedule.append(

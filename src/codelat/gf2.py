@@ -71,14 +71,6 @@ class BitWord:
     def from_string(cls, text: str) -> "BitWord":
         return cls.from_bits(int(ch) for ch in text.strip())
 
-    @classmethod
-    def zero(cls, n: int) -> "BitWord":
-        return cls(0, n)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitWord":
-        return cls((1 << n) - 1, n)
-
     def __len__(self) -> int:
         return self.n
 
@@ -293,32 +285,24 @@ class BinaryCode:
 
 
 def enumerate_from_generator(
-    columns: Sequence[int] | Sequence[Sequence[int]] | np.ndarray,
+    columns: Sequence[int] | Sequence[Sequence[int]],
     n: int | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BinaryCode:
     """Enumerate the column span {G*a : a in F_2^k} of a generator matrix.
 
-    ``columns`` is either a sequence of int-packed basis words or an n-by-k
-    0/1 matrix whose columns are the basis words.  The result always has
-    exactly 2**rank(G) distinct words.
+    ``columns`` are the basis words, each an int-packed word or a 0/1 bit
+    sequence.  The result always has exactly 2**rank(G) distinct words.
     """
-    if isinstance(columns, np.ndarray) and columns.ndim == 2:
-        mat = np.asarray(columns) % 2
-        n = mat.shape[0]
-        cols = [
-            sum(int(mat[r, j]) << r for r in range(n)) for j in range(mat.shape[1])
-        ]
-    else:
-        cols = []
-        for c in columns:
-            if isinstance(c, (int, np.integer)):
-                cols.append(int(c))
-            else:
-                bw = BitWord.from_bits(c)
-                if n is None:
-                    n = bw.n
-                cols.append(bw.bits)
+    cols = []
+    for c in columns:
+        if isinstance(c, (int, np.integer)):
+            cols.append(int(c))
+        else:
+            bw = BitWord.from_bits(c)
+            if n is None:
+                n = bw.n
+            cols.append(bw.bits)
     if n is None:
         raise ValueError("word length required with int-packed columns")
     basis = gf2_reduce_basis(cols)

@@ -11,7 +11,6 @@ test for Construction C*.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -53,15 +52,15 @@ class LatticenessReport:
     method: str
     witness: dict | None = None
     pairs_scanned: int = 0
-    elapsed_ms: float = 0.0
+    elapsed_ms: float | None = None  # set by a caller that times the call
     detail: dict = field(default_factory=dict)
 
-    def as_json(self, include_timing: bool = True) -> dict:
+    def as_json(self) -> dict:
         return {
             "verdict": self.verdict,
             "method": self.method,
             "witness": self.witness,
-            "elapsed_ms": round(self.elapsed_ms, 3) if include_timing else None,
+            "elapsed_ms": None if self.elapsed_ms is None else round(self.elapsed_ms, 3),
             "pairs_scanned": self.pairs_scanned,
             **({"detail": self.detail} if self.detail else {}),
         }
@@ -75,7 +74,6 @@ def brute_closure_oracle(
     Independent of every code-level test; the witness is the first
     violating ordered pair in canonical rep order.
     """
-    t0 = time.perf_counter()
     q, n = constellation.q, constellation.n
     reps = constellation.array
     m = len(reps)
@@ -90,19 +88,13 @@ def brute_closure_oracle(
             method="brute",
             witness={"missing_zero": True},
             pairs_scanned=0,
-            elapsed_ms=(time.perf_counter() - t0) * 1e3,
         )
     if n * constellation.L <= KEY_BITS:
         gap = _first_gap_packed(reps, q, constellation.L)
     else:
         gap = _first_gap_rows(constellation, reps)
     if gap is None:
-        return LatticenessReport(
-            verdict=LATTICE,
-            method="brute",
-            pairs_scanned=m * m,
-            elapsed_ms=(time.perf_counter() - t0) * 1e3,
-        )
+        return LatticenessReport(verdict=LATTICE, method="brute", pairs_scanned=m * m)
     i, j = gap
     return LatticenessReport(
         verdict=NOT_LATTICE,
@@ -113,7 +105,6 @@ def brute_closure_oracle(
             "difference": np.mod(reps[i] - reps[j], q).tolist(),
         },
         pairs_scanned=(i + 1) * m,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -177,7 +168,6 @@ def thm1_check(codes: Sequence[BinaryCode]) -> LatticenessReport:
     of a failed closure is the first violating basis pair of C_level (see
     ``_schur_gap``).
     """
-    t0 = time.perf_counter()
     for code in codes:
         if not code.linear:
             raise ValueError("the nested-chain test requires verified-linear codes")
@@ -187,7 +177,6 @@ def thm1_check(codes: Sequence[BinaryCode]) -> LatticenessReport:
                 verdict=NOT_LATTICE,
                 method="thm1",
                 witness={"non_nested_level": i + 1},
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
             )
     for i in range(len(codes) - 1):
         gap = _schur_gap(codes[i].basis(), codes[i + 1].__contains__)
@@ -202,13 +191,8 @@ def thm1_check(codes: Sequence[BinaryCode]) -> LatticenessReport:
                     "y": y.to_tuple(),
                     "product": (x & y).to_tuple(),
                 },
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
             )
-    return LatticenessReport(
-        verdict=LATTICE,
-        method="thm1",
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return LatticenessReport(verdict=LATTICE, method="thm1")
 
 
 def _schur_gap(
@@ -233,68 +217,67 @@ def _spans_inside(basis: Sequence[int], target: Sequence[int]) -> bool:
     return not any(gf2_residual(b, target) for b in basis)
 
 
-def carry_terms(c, c_tilde, n: int, L: int) -> CarryRecord:
-    """Carries produced when the lifts of two main codewords are added.
+def _full_adder(c: int, d: int, n: int, levels: int) -> int:
+    """Carries of adding the lifts of two int-packed main words.
 
-    The mod-2 carry from level i into level i+1 follows the full-adder
-    recursion s_i = (c_i AND d_i) XOR ((c_i XOR d_i) AND s_{i-1}) with
-    s_1 = c_1 AND d_1; the integer carry past level L equals the same
-    recursion evaluated at level L, read as a 0/1 integer vector.  Together
-    these reconstruct the plain integer sum of the two lifted points
-    exactly (see ``reconstruct_sum``).
+    Runs the full-adder recursion s_i = (c_i AND d_i) XOR ((c_i XOR d_i)
+    AND s_{i-1}), with s_0 = 0, over the first ``levels`` levels, and
+    returns the packed carry tuple (0, s_1, ..., s_levels): carry s_i sits
+    at level i (0-based), the level it carries into.
     """
-    cw = c.bits if isinstance(c, BitWord) else int(c)
-    dw = c_tilde.bits if isinstance(c_tilde, BitWord) else int(c_tilde)
-    if isinstance(c, BitWord) and c.n != n * L:
-        raise LengthMismatchError(f"word length {c.n} != n*L = {n * L}")
-    if isinstance(c_tilde, BitWord) and c_tilde.n != n * L:
-        raise LengthMismatchError(f"word length {c_tilde.n} != n*L = {n * L}")
     mask = (1 << n) - 1
-    cl = [(cw >> (i * n)) & mask for i in range(L)]
-    dl = [(dw >> (i * n)) & mask for i in range(L)]
-    s_list: list[int] = []
-    carry = 0
-    for i in range(L):
-        carry = (cl[i] & dl[i]) ^ ((cl[i] ^ dl[i]) & carry)
-        if i < L - 1:
-            s_list.append(carry)
-    s_star = tuple((carry >> j) & 1 for j in range(n))
-    return CarryRecord(
-        s=tuple(BitWord(si, n) for si in s_list),
-        s_star=s_star,
-    )
-
-
-def reconstruct_sum(c, c_tilde, n: int, L: int) -> tuple[int, ...]:
-    """Integer vector sum of the two lifted points, via digits and carries."""
-    record = carry_terms(c, c_tilde, n, L)
-    cw = c.bits if isinstance(c, BitWord) else int(c)
-    dw = c_tilde.bits if isinstance(c_tilde, BitWord) else int(c_tilde)
-    mask = (1 << n) - 1
-    cl = [(cw >> (i * n)) & mask for i in range(L)]
-    dl = [(dw >> (i * n)) & mask for i in range(L)]
-    digits = [cl[0] ^ dl[0]]
-    for i in range(1, L):
-        digits.append(record.s[i - 1].bits ^ cl[i] ^ dl[i])
-    out = []
-    for j in range(n):
-        v = sum(((digits[i] >> j) & 1) << i for i in range(L))
-        v += record.s_star[j] << L
-        out.append(v)
-    return tuple(out)
-
-
-def _carry_tuple(c: int, d: int, n: int, L: int) -> int:
-    """Packed carry tuple (0, s_1, ..., s_{L-1}) of two int-packed main words."""
-    mask = (1 << n) - 1
-    carry = 0
-    packed = 0
-    for i in range(L - 1):
+    carry = packed = 0
+    for i in range(levels):
         ci = (c >> (i * n)) & mask
         di = (d >> (i * n)) & mask
         carry = (ci & di) ^ ((ci ^ di) & carry)
         packed |= carry << ((i + 1) * n)
     return packed
+
+
+def _word_bits(word, nl: int) -> int:
+    """The int bits of a main word given as an int or as a length-``nl`` BitWord."""
+    if isinstance(word, BitWord):
+        if word.n != nl:
+            raise LengthMismatchError(f"word length {word.n} != n*L = {nl}")
+        return word.bits
+    bits = int(word)
+    if bits >> nl:  # negative, or wider than n*L bits
+        raise LengthMismatchError(f"word {bits} is not an n*L = {nl} bit word")
+    return bits
+
+
+def carry_terms(c, c_tilde, n: int, L: int) -> CarryRecord:
+    """Carries produced when the lifts of two main codewords are added.
+
+    The mod-2 carry s_i from level i into level i+1 follows the full-adder
+    recursion of ``_full_adder``; the integer carry past level L equals
+    the same recursion evaluated at level L, read as a 0/1 integer vector.
+    Together these reconstruct the plain integer sum of the two lifted
+    points exactly (see ``reconstruct_sum``).
+    """
+    packed = _full_adder(_word_bits(c, n * L), _word_bits(c_tilde, n * L), n, L)
+    mask = (1 << n) - 1
+    return CarryRecord(
+        s=tuple(BitWord((packed >> (i * n)) & mask, n) for i in range(1, L)),
+        s_star=tuple((packed >> (L * n + j)) & 1 for j in range(n)),
+    )
+
+
+def reconstruct_sum(c, c_tilde, n: int, L: int) -> tuple[int, ...]:
+    """Integer vector sum of the two lifted points, via digits and carries.
+
+    The sum's digit word is c XOR c_tilde XOR (0, s_1, ..., s_L): its
+    levels 0..L-1 are the digits mod q, and the last carry s_L is digit L,
+    worth 2^L.  Coordinate j reads its L + 1 digits, top level first, as
+    one binary numeral.
+    """
+    cw, dw = _word_bits(c, n * L), _word_bits(c_tilde, n * L)
+    digits = cw ^ dw ^ _full_adder(cw, dw, n, L)
+    # most significant bit first: level L, then L - 1, ...; coordinate n - 1
+    # first within a level, so coordinate j's digits start at n - 1 - j
+    text = format(digits, f"0{(L + 1) * n}b")
+    return tuple(int(text[n - 1 - j :: n], 2) for j in range(n))
 
 
 def _combinations_by_weight(basis: Sequence[int], max_weight: int) -> list[list[int]]:
@@ -340,7 +323,6 @@ def thm5_check(main: MainCode, budget: int = DEFAULT_PAIR_BUDGET) -> Latticeness
     ``carry_tuple``; it re-derives via ``carry_terms``.  ``pairs_scanned``
     counts the pairs tested.
     """
-    t0 = time.perf_counter()
     if not main.linear:
         raise ValueError("the carry-set test requires a verified-linear main code")
     n, L = main.n, main.L
@@ -359,7 +341,7 @@ def thm5_check(main: MainCode, budget: int = DEFAULT_PAIR_BUDGET) -> Latticeness
             for i, c in enumerate(left):
                 for d in right[i:] if wa == total - wa else right:
                     pairs += 1
-                    carry = _carry_tuple(c, d, n, L)
+                    carry = _full_adder(c, d, n, L - 1)  # (0, s_1, ..., s_{L-1})
                     if not main.contains(carry):
                         return LatticenessReport(
                             verdict=NOT_LATTICE,
@@ -370,13 +352,11 @@ def thm5_check(main: MainCode, budget: int = DEFAULT_PAIR_BUDGET) -> Latticeness
                                 "carry_tuple": BitWord(carry, n * L).to_tuple(),
                             },
                             pairs_scanned=pairs,
-                            elapsed_ms=(time.perf_counter() - t0) * 1e3,
                         )
     return LatticenessReport(
         verdict=LATTICE,
         method="thm5",
         pairs_scanned=pairs,
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
         detail={"dimension": k},
     )
 
@@ -393,7 +373,6 @@ def thm4_check(main: MainCode) -> LatticenessReport:
     inclusion tests basis words for membership and ``_schur_gap`` tests a
     closure on basis pairs of C_{i-1}.  No word is enumerated.
     """
-    t0 = time.perf_counter()
     if not main.linear:
         raise ValueError("the chain test requires a verified-linear main code")
     proj = main.projection_bases()
@@ -414,7 +393,6 @@ def thm4_check(main: MainCode) -> LatticenessReport:
     return LatticenessReport(
         verdict=LATTICE if ok else INCONCLUSIVE,
         method="thm4",
-        elapsed_ms=(time.perf_counter() - t0) * 1e3,
         detail={"chain": chain, "closures": closures},
     )
 
@@ -429,12 +407,10 @@ def thm4_check_leech(leech, threads: int = 1) -> LatticenessReport:
     count and the 4096 * 4097 / 2 pairs it covers, which ``pairs_scanned``
     reports.  ``threads`` is unused; it stays for callers that pass it.
     """
-    t0 = time.perf_counter()
     report = thm4_check(leech)
     violations, pairs = schur_parity_scan(leech.golay)
     report.detail["closures"][-1].update(pairs=pairs, violations=violations)
     report.pairs_scanned = pairs
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report
 
 

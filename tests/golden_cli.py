@@ -105,6 +105,9 @@ def _cases() -> list[tuple[str, list[str], dict[str, str]]]:
          {"main6.code": "inputs/main6.code"}),
         ("error-levels-negative", "construct --kind cstar --code main6.code --n 3 --L -1",
          {"main6.code": "inputs/main6.code"}),
+        ("error-kind-a-two-codes", "construct --kind a --catalog dnplus --n 5", {}),
+        ("error-kind-d-main-code", "construct --kind d --catalog ex4", {}),
+        ("error-construct-timings", "construct --catalog ex4 --timings", {}),
     ]
     return [(cid, line.split(), files) for cid, line, files in cases]
 

@@ -170,10 +170,26 @@ def test_byte_identical_reruns(capsys):
     assert leech1 == leech2
 
 
-def test_timings_flag_breaks_nothing(capsys):
-    _, out, _ = run_cli(capsys, "check", "--lattice", "thm5", "--catalog", "ex9", "--timings")
-    data = json.loads(out)
-    assert data["lattice"]["thm5"]["elapsed_ms"] is not None
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--lattice", "thm5", "--catalog", "ex9"],
+        ["check", "--lattice", "all", "--catalog", "ex9"],
+        ["check", "--lattice", "thm1", "--catalog", "ex2", "--kind", "c"],
+        ["leech"],
+    ],
+    ids=["thm5-ex9", "all-ex9", "thm1-ex2-c", "leech"],
+)
+def test_timings_flag_breaks_nothing(capsys, argv):
+    _, plain, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--timings")
+    assert code == 0
+    timed, plain = json.loads(out), json.loads(plain)
+    verdicts = [timed["latticeness"]] if argv == ["leech"] else list(timed["lattice"].values())
+    for entry in [timed, *verdicts]:
+        assert isinstance(entry["elapsed_ms"], float)
+        entry["elapsed_ms"] = None
+    assert timed == plain  # the timings are the only difference
 
 
 def test_conditions_command(capsys):
@@ -370,6 +386,36 @@ def test_threads_flag_parses_without_effect(capsys):
         capsys, "--threads", "4", "check", "--lattice", "thm4", "--catalog", "leech"
     )
     assert code == 0 and threaded == plain
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "a", "--catalog", "dnplus", "--n", "5"], "--kind a lifts one level code, got 2"),
+        (["--kind", "a", "--catalog", "ex4"], "--kind a lifts level codes, not a main code"),
+        (["--kind", "d", "--catalog", "ex4"], "--kind d lifts level codes, not a main code"),
+    ],
+    ids=["a-two-codes", "a-main-code", "d-main-code"],
+)
+@pytest.mark.parametrize(
+    "command", [["construct"], ["check", "--lattice", "all"], ["check", "--lattice", "brute"]]
+)
+def test_kind_the_input_cannot_take_exits_2(capsys, command, argv, message):
+    code, out, err = run_cli(capsys, *command, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_kind_is_checked_where_no_lift_is_built(capsys):
+    code, out, err = run_cli(capsys, "check", "--lattice", "thm5", "--kind", "d", "--catalog", "ex4")
+    assert code == 2 and out == ""
+    assert err == "error: --kind d lifts level codes, not a main code\n"
+
+
+def test_kind_cstar_on_level_codes_builds_construction_c(capsys):
+    _, cstar, _ = run_cli(capsys, "construct", "--kind", "cstar", "--catalog", "dnplus", "--n", "5")
+    _, c, _ = run_cli(capsys, "construct", "--kind", "c", "--catalog", "dnplus", "--n", "5")
+    assert cstar == c and len(json.loads(c)["reps"]) == 32
 
 
 def test_golay24_catalog_is_a_one_code_list(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,13 @@ from codelat.constructions import (
     _lane_sub,
     rep_keys,
 )
-from codelat.gf2 import BinaryCode, BitWord, enumerate_from_generator, gf2_reduce_basis
+from codelat.gf2 import (
+    BinaryCode,
+    BitWord,
+    LengthMismatchError,
+    enumerate_from_generator,
+    gf2_reduce_basis,
+)
 from codelat.latticeness import (
     INCONCLUSIVE,
     LATTICE,
@@ -146,6 +153,46 @@ def test_carry_terms_reconstructs_integer_sum():
         x = lift_word_to_point(c, n, L)
         y = lift_word_to_point(d, n, L)
         assert total == tuple(a + b for a, b in zip(x, y))
+
+
+@pytest.mark.parametrize("n, L", [(24, 3), (33, 2)])
+def test_reconstruct_sum_past_64_bits(n, L):
+    # criterion 5 stops at 48 bits; the Leech shape is 72
+    rng = random.Random(n * L)
+    for _ in range(2000):
+        c, d = rng.getrandbits(n * L), rng.getrandbits(n * L)
+        x = lift_word_to_point(c, n, L)
+        y = lift_word_to_point(d, n, L)
+        assert reconstruct_sum(c, d, n, L) == tuple(a + b for a, b in zip(x, y))
+        assert reconstruct_sum(BitWord(c, n * L), BitWord(d, n * L), n, L) == reconstruct_sum(c, d, n, L)
+
+
+@pytest.mark.parametrize("function", [carry_terms, reconstruct_sum])
+def test_carry_functions_refuse_a_word_of_the_wrong_length(function):
+    good, bad = BitWord(0b101101, 6), BitWord(0b10110, 5)
+    assert function(good, good, 3, 2) == function(0b101101, 0b101101, 3, 2)
+    for c, d in ((bad, good), (good, bad), (bad, 0)):
+        with pytest.raises(LengthMismatchError, match="word length 5 != n\\*L = 6"):
+            function(c, d, 3, 2)
+    for c, d in ((1 << 6, 0), (0, -1)):
+        with pytest.raises(LengthMismatchError, match="is not an n\\*L = 6 bit word"):
+            function(c, d, 3, 2)
+
+
+def test_deciders_do_not_time_themselves():
+    # elapsed_ms is the caller's to set, so a rerun returns an equal report
+    ex9 = catalog.worked_example("ex9")
+    calls = [
+        (thm1_check, catalog.dn_plus(12)[0]),
+        (thm4_check, ex9),
+        (thm5_check, ex9),
+        (brute_closure_oracle, construction_cstar(ex9)),
+        (thm4_check_leech, catalog.leech_main_code()),
+    ]
+    for decider, subject in calls:
+        first = decider(subject)
+        assert first.elapsed_ms is None and first.as_json()["elapsed_ms"] is None
+        assert decider(subject) == first
 
 
 def test_carry_terms_symmetric():
