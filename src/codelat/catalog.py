@@ -158,12 +158,12 @@ class LeechMainCode(MainCode):
 @lru_cache(maxsize=1)
 def leech_main_code() -> LeechMainCode:
     """The Leech main code from its 36 generator rows: the all-ones level-1
-    word with an odd level-3 word, the 12 Golay generators at level 2 and
+    word with an odd level-3 word, the 12 Golay basis rows at level 2 and
     the 23 even-weight words e_j + e_{j+1} at level 3."""
     ones = (1 << 24) - 1
     rows = (
         [ones | (1 << 48)]
-        + [g << 24 for g in golay24().generator]
+        + [g << 24 for g in golay24().basis()]
         + [0b11 << (48 + j) for j in range(23)]
     )
     return LeechMainCode.from_generators(rows, n=24, L=3)

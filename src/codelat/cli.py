@@ -52,7 +52,7 @@ from .latticeness import (
     thm4_check_leech,
     thm5_check,
 )
-from .packing import compare_from_logs, packing_report, packing_report_from_counts
+from .packing import compare_from_logs, packing_report_from_counts
 
 PAPER_TOLERANCE = 5e-4
 
@@ -284,45 +284,32 @@ def _associated_formula(main: MainCode) -> tuple[int, int]:
     return dmin_formula_levels([gf2_min_weight(b) for b in bases]), sum(map(len, bases))
 
 
-def _leech_table_row() -> dict:
-    leech = catalog.leech_main_code()
-    d2_cstar = dmin_to_zero_structured(leech.prefixes(), n=24, L=3)
-    d2_c, log2_assoc = _associated_formula(leech)
-    rep_cstar = packing_report_from_counts(24, 3, leech.num_words, d2_cstar)
-    rep_c = packing_report_from_counts(24, 3, 1 << log2_assoc, d2_c)
-    return {
-        "d2_cstar": d2_cstar,
-        "d2_c": d2_c,
-        "delta_cstar": rep_cstar.delta,
-        "delta_c": rep_c.delta,
-        "rho_cstar": rep_cstar.rho,
-        "rho_c": rep_c.rho,
-    }
-
-
 def table1_rows() -> list[dict]:
     """Recompute the five summary rows end to end and mark printed-value
-    mismatches (beyond 5e-4 for densities/efficiencies, any for d^2)."""
+    mismatches (beyond 5e-4 for densities/efficiencies, any for d^2).
+
+    Every row reads the associated Construction C from the projection-code
+    formula; d^2 of the C* lift comes from a pair scan, or for the Leech
+    code (ex6) from its prefix stream."""
     rows = []
     for ex in ("ex4", "ex5", "ex6", "ex9", "ex10"):
         if ex == "ex6":
-            computed = _leech_table_row()
-            dim = 24
+            main = catalog.leech_main_code()
+            d2_cstar = dmin_to_zero_structured(main.prefixes(), n=24, L=3)
         else:
             main = catalog.worked_example(ex)
-            cstar = construction_cstar(main)
-            assoc = associated_construction_c(main)
-            d2_cstar = dmin_oracle(cstar)
-            d2_c = dmin_oracle(assoc)
-            computed = {
-                "d2_cstar": d2_cstar,
-                "d2_c": d2_c,
-                "delta_cstar": packing_report(cstar, d2_cstar).delta,
-                "delta_c": packing_report(assoc, d2_c).delta,
-                "rho_cstar": packing_report(cstar, d2_cstar).rho,
-                "rho_c": packing_report(assoc, d2_c).rho,
-            }
-            dim = main.n
+            d2_cstar = dmin_oracle(construction_cstar(main))
+        d2_c, log2_assoc = _associated_formula(main)
+        rep_cstar = packing_report_from_counts(main.n, main.L, main.num_words, d2_cstar)
+        rep_c = packing_report_from_counts(main.n, main.L, 1 << log2_assoc, d2_c)
+        computed = {
+            "d2_cstar": d2_cstar,
+            "d2_c": d2_c,
+            "delta_cstar": rep_cstar.delta,
+            "delta_c": rep_c.delta,
+            "rho_cstar": rep_cstar.rho,
+            "rho_c": rep_c.rho,
+        }
         printed = _TABLE1_PRINTED[ex]
         mismatches = []
         for col in _TABLE1_COLUMNS:
@@ -335,7 +322,7 @@ def table1_rows() -> list[dict]:
         rows.append(
             {
                 "example": ex,
-                "dimension": dim,
+                "dimension": main.n,
                 "recomputed": computed,
                 "printed": printed,
                 "mismatched_cells": mismatches,

@@ -295,22 +295,21 @@ def _bit_matrix(words, n: int) -> np.ndarray:
     )
 
 
-def construction_a(code: BinaryCode) -> PeriodicConstellation:
-    """One-level lift: code + 2*Z^n."""
-    if not len(code):
-        raise ValueError("cannot lift an empty code")
-    reps = _bit_matrix(code.words, code.n)
-    return PeriodicConstellation(n=code.n, L=1, q=2, reps=reps, source="A")
+def _lift(levels: np.ndarray, n: int, source: str) -> PeriodicConstellation:
+    """The points sum(2^(i-1) * c_i) of an (L, m) uint64 level array, row i
+    holding the level-(i+1) word of each of the m points."""
+    acc = np.zeros((levels.shape[1], n), dtype=np.int32)
+    for i, lv in enumerate(levels):
+        acc += _bit_matrix(lv, n) << i
+    # digit stacking is injective; the constellation rejects a repeated rep
+    return PeriodicConstellation(n=n, L=len(levels), q=1 << len(levels), reps=acc, source=source)
 
 
-def construction_c(
-    codes: Sequence[BinaryCode], cap: int = DEFAULT_ENUMERATION_CAP
-) -> PeriodicConstellation:
-    """Multilevel lift sum(2^(i-1) * C_i) + 2^L * Z^n with independent levels."""
+def _product_levels(codes: Sequence[BinaryCode], cap: int) -> np.ndarray:
+    """(L, prod |C_i|) level array of the Cartesian product of the level codes."""
     if not codes:
         raise ValueError("need at least one level code")
     n = codes[0].n
-    L = len(codes)
     total = 1
     for c in codes:
         if c.n != n:
@@ -320,15 +319,25 @@ def construction_c(
         total *= len(c)
     if total > cap:
         raise EnumerationCapError(
-            f"construction C would enumerate {total} representatives, above {cap}",
-            total,
+            f"the product of the level codes has {total} words, above {cap}", total
         )
-    acc = np.zeros((1, n), dtype=np.int32)
-    for i, code in enumerate(codes):
-        bits = _bit_matrix(code.words, n) << i
-        acc = (acc[:, None, :] + bits[None, :, :]).reshape(-1, n)
-    # digit stacking is injective; the constellation rejects a repeated rep
-    return PeriodicConstellation(n=n, L=L, q=1 << L, reps=acc, source="C")
+    grids = np.meshgrid(*(c.words for c in codes), indexing="ij", copy=False)
+    return np.stack(grids).reshape(len(codes), total)
+
+
+def construction_a(code: BinaryCode) -> PeriodicConstellation:
+    """One-level lift: code + 2*Z^n."""
+    if not len(code):
+        raise ValueError("cannot lift an empty code")
+    return _lift(code.words[None, :], code.n, "A")
+
+
+def construction_c(
+    codes: Sequence[BinaryCode], cap: int = DEFAULT_ENUMERATION_CAP
+) -> PeriodicConstellation:
+    """Multilevel lift sum(2^(i-1) * C_i) + 2^L * Z^n with independent levels:
+    the C* lift of their product code, stacked from the level words."""
+    return _lift(_product_levels(codes, cap), codes[0].n, "C")
 
 
 def construction_cstar(
@@ -344,10 +353,7 @@ def construction_cstar(
             "use the structured operations for codes of this scale",
             size,
         )
-    acc = np.zeros((size, main.n), dtype=np.int32)
-    for i, lv in enumerate(main.levels(cap)):
-        acc += _bit_matrix(lv, main.n) << i
-    return PeriodicConstellation(n=main.n, L=main.L, q=main.q, reps=acc, source="Cstar")
+    return _lift(main.levels(cap), main.n, "Cstar")
 
 
 def _greedy_chain_basis(codes: Sequence[BinaryCode]) -> tuple[list[int], list[int]]:
@@ -473,22 +479,16 @@ def associated_construction_c(
 def product_main_code(
     codes: Sequence[BinaryCode], cap: int = DEFAULT_ENUMERATION_CAP
 ) -> MainCode:
-    """Cartesian-product main code whose C* lift equals Construction C."""
-    if not codes:
-        raise ValueError("need at least one level code")
-    n = codes[0].n
-    L = len(codes)
-    total = 1
-    for c in codes:
-        if c.n != n:
-            raise LengthMismatchError(f"code lengths differ: {c.n} vs {n}")
-        total *= len(c)
-    if total > cap:
-        raise EnumerationCapError(
-            f"product main code has {total} words, above {cap}", total
-        )
-    words = np.zeros(1, dtype=np.uint64)
-    for i, code in enumerate(codes):
-        shifted = code.words << np.uint64(i * n)
-        words = (words[:, None] | shifted[None, :]).ravel()
-    return MainCode(BinaryCode(n * L, words), n, L)
+    """Cartesian-product main code whose C* lift equals Construction C.
+
+    Linear level codes give the generator form, their bases' rows shifted
+    to their levels, for any n*L with nothing enumerated; otherwise the
+    product's words, under ``cap``.
+    """
+    n, L = (codes[0].n if codes else 0), len(codes)
+    if codes and all(c.linear and c.n == n for c in codes):
+        rows = [g << (i * n) for i, c in enumerate(codes) for g in c.basis()]
+        return MainCode.from_generators(rows, n, L)
+    levels = _product_levels(codes, cap)
+    shifts = np.arange(L, dtype=np.uint64)[:, None] * np.uint64(n)
+    return MainCode(BinaryCode(n * L, np.bitwise_or.reduce(levels << shifts)), n, L)

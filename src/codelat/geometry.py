@@ -396,16 +396,24 @@ def _spectra(constellation: PeriodicConstellation, rows: np.ndarray, r2: int) ->
     return spectra
 
 
+def _squared_radius(radius: float) -> int:
+    """The largest integer d^2 within a finite radius >= 1; a ValueError
+    for any other radius."""
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    return int(radius * radius + 1e-9)
+
+
 def distance_spectrum(
     constellation: PeriodicConstellation, rep: Sequence[int], radius: float
 ) -> DistanceSpectrum:
     """Exact N(rep, d) for all d <= radius, counting every translate."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    r2 = _squared_radius(radius)
     rep_t = tuple(int(c) for c in rep)
     if not constellation.has_rep(rep_t):
         raise ValueError(f"{rep_t} is not a representative of the constellation")
-    r2 = int(radius * radius + 1e-9)
     acc = _spectra(constellation, np.array([rep_t], dtype=np.int64), r2)[0]
     entries = {int(d2): int(c) for d2, c in enumerate(acc) if c and d2 > 0}
     return DistanceSpectrum(rep=rep_t, radius=float(radius), entries=entries)
@@ -416,16 +424,12 @@ def eds_check(
 ) -> tuple[bool, dict | None]:
     """Whether all representatives share the same distance spectrum up to radius.
 
-    Defaults to radius 2q; a radius below 1 is an error, as in
+    Defaults to radius 2q; a radius below 1, or not finite, is an error, as in
     ``distance_spectrum``.  On failure returns a witness at the smallest
     differing squared distance: the first rep attaining the largest count
     and the last rep attaining the smallest.
     """
-    if radius is None:
-        radius = 2 * constellation.q
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    r2 = int(radius * radius + 1e-9)
+    r2 = _squared_radius(2 * constellation.q if radius is None else radius)
     spectra = _spectra(constellation, constellation.array, r2)
     if (spectra == spectra[0]).all():
         return True, None

@@ -5,8 +5,8 @@ coordinate ``j``).  A single word is a ``BitWord`` over a Python int of any
 length.  A code of length n <= 64 stores its words once, as a sorted,
 deduplicated, read-only ``np.uint64`` array, so membership is a binary
 search and weights, XORs and Schur products run over the whole array.
-Codes carry an optional generator matrix (columns are basis words) and a
-linearity flag, always verified from the words.
+A code is its words alone: its linearity flag is verified from them, and
+a linear code's basis is read off them.
 """
 
 from __future__ import annotations
@@ -151,14 +151,9 @@ class BinaryCode:
     checked in one vectorised pass (see ``_verify_linearity``).
     """
 
-    __slots__ = ("n", "words", "generator", "linear")
+    __slots__ = ("n", "words", "linear")
 
-    def __init__(
-        self,
-        n: int,
-        words: Iterable[int],
-        generator: tuple[int, ...] | None = None,
-    ):
+    def __init__(self, n: int, words: Iterable[int]):
         if not 1 <= n <= MAX_CODE_LENGTH:
             raise ValueError(f"code length must be in 1..{MAX_CODE_LENGTH}, got {n}")
         try:
@@ -174,7 +169,6 @@ class BinaryCode:
         arr.flags.writeable = False
         self.n = n
         self.words = arr
-        self.generator = generator
         self.linear = self._verify_linearity()
 
     def _verify_linearity(self) -> bool:
@@ -184,11 +178,7 @@ class BinaryCode:
         Compared in slices of ``_VERIFY_SLICE`` words, so the temporaries
         stay small whatever the size."""
         size, words = len(self), self.words
-        if not size or words[0] != 0:
-            return False
-        if self.generator is not None:
-            return True
-        if size & (size - 1):
+        if not size or words[0] != 0 or size & (size - 1):
             return False
         for j in range(size.bit_length() - 1):
             half, top = 1 << j, words[1 << j]
@@ -260,14 +250,10 @@ class BinaryCode:
     def basis(self) -> list[int]:
         """A basis of the span, leading bits descending.
 
-        The reduced stored generator if there is one.  Else, for a linear
-        code, the fully reduced basis read off the sorted words in
-        O(k): they enumerate its span by XOR doubling, so ``words[1 << j]``
+        For a linear code, the fully reduced basis read off the sorted words
+        in O(k): they enumerate its span by XOR doubling, so ``words[1 << j]``
         is its j-th word.  Else one reduced from all the words.
         """
-        gen = self.generator
-        if gen is not None:
-            return gf2_reduce_basis(gen)
         if self.linear:
             k = len(self).bit_length() - 1
             return self.words[[1 << j for j in reversed(range(k))]].tolist()
@@ -322,7 +308,7 @@ def enumerate_from_generator(
     words = np.zeros(size, dtype=np.uint64)
     for j, b in enumerate(reduced):
         np.bitwise_xor(words[: 1 << j], np.uint64(b), out=words[1 << j : 2 << j])
-    return BinaryCode(n, words, generator=tuple(cols))
+    return BinaryCode(n, words)
 
 
 def gf2_min_weight(basis: Sequence[int]) -> int | None:
@@ -427,17 +413,3 @@ def parse_code_text(text: str, cap: int = DEFAULT_ENUMERATION_CAP) -> BinaryCode
 def read_code_file(path, cap: int = DEFAULT_ENUMERATION_CAP) -> BinaryCode:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_code_text(fh.read(), cap=cap)
-
-
-def format_code_file(code: BinaryCode, explicit: bool = True) -> str:
-    """Render a code in the text file format (explicit or generator form)."""
-    out = []
-    if not explicit and code.generator is not None:
-        out.append(f"{code.n} {len(code.generator)}")
-        rows = code.generator
-    else:
-        out.append(f"{code.n} *")
-        rows = code.words.tolist()
-    for w in rows:
-        out.append(" ".join(str((w >> j) & 1) for j in range(code.n)))
-    return "\n".join(out) + "\n"

@@ -101,6 +101,9 @@ def _cases() -> list[tuple[str, list[str], dict[str, str]]]:
         ("error-eds-radius-negative", "check --eds --radius -3 --catalog ex2 --kind c", {}),
         ("error-spectrum-radius-zero",
          "check --spectrum 1,1 --radius 0 --catalog ex2 --kind c", {}),
+        ("error-eds-radius-inf", "check --eds --radius inf --catalog ex2 --kind c", {}),
+        ("error-spectrum-radius-nan",
+         "check --spectrum 1,1 --radius nan --catalog ex2 --kind c", {}),
         ("error-levels-zero", "construct --kind cstar --code main6.code --n 3 --L 0",
          {"main6.code": "inputs/main6.code"}),
         ("error-levels-negative", "construct --kind cstar --code main6.code --n 3 --L -1",

@@ -328,7 +328,7 @@ def carry_set(main: MainCode, budget: int = DEFAULT_PAIR_BUDGET) -> frozenset[Bi
     tuples: set[int] = set()
     for i in range(len(main)):
         tuples.update(np.unique(_carry_row(levels, i, main.n, main.L)).tolist())
-    return frozenset(BitWord(t, main.inner.n) for t in tuples)
+    return frozenset(BitWord(t, main.n * main.L) for t in tuples)
 
 
 def random_words(rng: np.random.Generator, count: int, n: int) -> list[int]:
@@ -454,7 +454,7 @@ def thm4_all_pairs_oracle(main: MainCode) -> tuple[str, dict]:
     each closure C_{i-1}*C_{i-1} <= S_i(0) is checked on every word pair.
     """
     n, L = main.n, main.L
-    split = [main.split(w) for w in main.inner.words.tolist()]
+    split = list(zip(*main.levels().tolist()))
     proj = [{parts[i] for parts in split} for i in range(L)]
     anti = [
         {parts[i] for parts in split if not any(p for j, p in enumerate(parts) if j != i)}
@@ -515,8 +515,6 @@ def oracle_linearity(code: BinaryCode) -> bool:
     eliminating the largest remaining word's leading bit from every word."""
     if not len(code) or code.words[0] != 0:
         return False
-    if code.generator is not None:
-        return True
     rest, rank = code.words, 0
     while rest.any():
         rest = np.minimum(rest, rest ^ rest.max())
@@ -540,3 +538,13 @@ def oracle_chi2_sf(stat: float, dof: int) -> float:
     incomplete gamma at 50 digits."""
     with mp.workdps(50):
         return float(mp.gammainc(mp.mpf(dof) / 2, mp.mpf(stat) / 2, mp.inf, regularized=True))
+
+
+def format_code_file(code: BinaryCode, explicit: bool = True) -> str:
+    """Render a code in the code file format: its words ("n *"), or with
+    ``explicit=False`` the rows of its basis ("n k"), which span its words
+    when it is linear."""
+    rows = code.words.tolist() if explicit else code.basis()
+    head = f"{code.n} *" if explicit else f"{code.n} {len(rows)}"
+    lines = [" ".join(str((w >> j) & 1) for j in range(code.n)) for w in rows]
+    return "\n".join([head] + lines) + "\n"

@@ -195,7 +195,8 @@ def test_leech_summaries():
 
 
 def test_catalog_codes_export_in_code_file_format():
-    from codelat.gf2 import format_code_file, parse_code_text
+    from codelat.gf2 import parse_code_text
+    from oracles import format_code_file
 
     golay = catalog.golay24()
     assert parse_code_text(format_code_file(golay, explicit=False)) == golay

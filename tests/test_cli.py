@@ -5,8 +5,8 @@ import pytest
 
 from codelat.cli import main, table1_rows
 from codelat.constructions import PeriodicConstellation
-from codelat.gf2 import enumerate_from_generator, format_code_file
-from oracles import oracle_eds, random_words
+from codelat.gf2 import enumerate_from_generator
+from oracles import format_code_file, oracle_eds, random_words
 
 
 def run_cli(capsys, *argv):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from codelat.geometry import (
     isometry_orbit_check,
 )
 from codelat.gf2 import BinaryCode, BitWord, EnumerationCapError, enumerate_from_generator
-from codelat.latticeness import brute_closure_oracle
+from codelat.latticeness import LATTICE, NOT_LATTICE, brute_closure_oracle, thm1_check, thm5_check
 from codelat.packing import packing_report
 from oracles import (
     generator_twin,
@@ -147,7 +148,7 @@ def test_construction_d_basis_independent():
     for _ in range(20):
         n = int(rng.integers(2, 5))
         inner = random_linear_code(rng, n, int(rng.integers(0, n)))
-        outer_cols = list(inner.generator or ()) + [
+        outer_cols = inner.basis() + [
             int(x) for x in rng.integers(0, 1 << n, size=2, dtype=np.uint64)
         ]
         outer = enumerate_from_generator(outer_cols, n=n)
@@ -277,6 +278,64 @@ def test_product_main_code_linearity_is_read_from_the_words():
     assert product_main_code([even, BinaryCode(6, [0, 1, 2]), full]).linear is False
 
 
+def test_construction_c_past_64_bits_matches_stacking_oracle():
+    # n*L from 66 to 120 bits, linear and nonlinear levels, against the set
+    # of points stacked digit by digit from the product's main words
+    rng = np.random.default_rng(211)
+    for trial in range(12):
+        n, L = int(rng.integers(22, 31)), int(rng.integers(3, 5))
+        if trial % 2:
+            codes = [random_linear_code(rng, n, int(rng.integers(0, 3))) for _ in range(L)]
+        else:
+            codes = [BinaryCode(n, random_words(rng, int(rng.integers(1, 5)), n)) for _ in range(L)]
+        words = oracle_product_words([c.words.tolist() for c in codes], n)
+        expected = sorted(lift_word_to_point(w, n, L) for w in words)
+        P = construction_c(codes)
+        assert P.reps == tuple(expected) and (P.n, P.q, P.source) == (n, 1 << L, "C")
+
+
+def _block_chain(rng, n: int, L: int) -> list[BinaryCode]:
+    """Nested codes spanned by indicators of disjoint coordinate blocks: each
+    is its own Schur square, so the chain is Schur-closed (a lattice)."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=5, replace=False))
+    blocks = [sum(1 << int(j) for j in part) for part in np.split(rng.permutation(n), cuts)]
+    ks = sorted(int(k) for k in rng.integers(0, 5, size=L))
+    return [enumerate_from_generator(blocks[:k], n=n) if k else BinaryCode(n, [0]) for k in ks]
+
+
+def test_product_main_code_of_linear_levels_is_held_by_rows_past_64_bits():
+    # n = 30, L = 3: built with nothing enumerated (cap 1); its C* lift is
+    # Construction C, and thm5 on it decides what thm1 decides on the levels
+    rng = np.random.default_rng(223)
+    n, L = 30, 3
+    verdicts = {LATTICE: 0, NOT_LATTICE: 0}
+    for trial in range(12):
+        if trial % 2:
+            codes = [random_linear_code(rng, n, int(rng.integers(0, 5))) for _ in range(L)]
+        else:
+            codes = _block_chain(rng, n, L)
+        main = product_main_code(codes, cap=1)
+        assert main.inner == tuple(main.generators()) and len(main) == math.prod(map(len, codes))
+        assert construction_cstar(main).reps == construction_c(codes).reps
+        verdict = thm5_check(main).verdict
+        assert verdict == thm1_check(codes).verdict
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 3
+
+
+def test_product_main_code_of_nonlinear_levels_holds_the_words():
+    # one level without the zero word makes the product nonlinear
+    rng = np.random.default_rng(227)
+    for _ in range(40):
+        n, L = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        levels = [random_words(rng, int(rng.integers(1, 5)), n) for _ in range(L)]
+        i = int(rng.integers(0, L))
+        levels[i] = [w | 1 for w in levels[i]]
+        main = product_main_code([BinaryCode(n, lv) for lv in levels])
+        assert main.linear is False
+        assert main.inner == BinaryCode(n * L, oracle_product_words(levels, n))
+
+
 def test_enumeration_cap_paths():
     big = MainCode(BinaryCode(16, range(16)), 8, 2)
     with pytest.raises(EnumerationCapError):
@@ -305,7 +364,8 @@ def test_level_operations_match_set_oracles():
             assert got == sorted(oracle_antiprojection_set(words, n, L, level, fixed))
         levels = [random_words(rng, int(rng.integers(1, 4)), n) for _ in range(L)]
         product = product_main_code([BinaryCode(n, lv) for lv in levels])
-        assert product.inner.words.tolist() == sorted(oracle_product_words(levels, n))
+        got = sorted(product.join(p) for p in zip(*product.levels().tolist()))
+        assert got == sorted(oracle_product_words(levels, n))
 
 
 def test_constellation_rejects_malformed_reps():

@@ -35,6 +35,22 @@ def test_import_leaves_scipy_stats_unloaded():
     )
 
 
+def test_import_loads_only_stdlib_and_numpy():
+    # a cold import is the set-up time of every command: the top-level
+    # modules it adds must be the standard library's, numpy's or codelat's
+    script = (
+        "import sys; before = set(sys.modules); import codelat; "
+        "added = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(*sorted(added - set(sys.stdlib_module_names) - {'numpy', 'codelat'}))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert run.stdout.split() == []
+
+
 def test_no_scipy_at_runtime():
     # with scipy blocked before codelat is imported, each command prints the
     # same bytes as a normal run

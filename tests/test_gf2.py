@@ -14,7 +14,6 @@ from codelat.gf2 import (
     EnumerationCapError,
     LengthMismatchError,
     enumerate_from_generator,
-    format_code_file,
     gf2_min_weight,
     gf2_reduce_basis,
     is_nested,
@@ -24,6 +23,7 @@ from codelat.gf2 import (
 from codelat.latticeness import LATTICE, NOT_LATTICE, thm1_check
 from oracles import (
     carry_identity_check,
+    format_code_file,
     oracle_linearity,
     oracle_pairwise_min_hamming,
     random_linear_code,
@@ -192,10 +192,10 @@ def test_basis_read_off_linear_words_matches_reduction():
     for trial in range(200):
         n = int(rng.integers(1, 21))
         k = int(rng.integers(0, min(n, 11) + 1)) if trial else 0
-        words = random_linear_code(rng, n, k).words
-        code = BinaryCode(n, words)  # no generator: verified from the words
-        assert code.linear is True and code.generator is None
-        assert code.basis() == gf2_reduce_basis(words.tolist())
+        enumerated = random_linear_code(rng, n, k)
+        code = BinaryCode(n, enumerated.words)  # the same words, given as a set
+        assert code.linear is True and enumerated.linear is True
+        assert code.basis() == enumerated.basis() == gf2_reduce_basis(code.words.tolist())
     # past 4096 words as well: every word set is verified
     words = random_linear_code(rng, 20, 13).words
     code = BinaryCode(20, words)
@@ -257,7 +257,7 @@ def test_linearity_pass_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code.linear is True and code.generator is None
+    assert code.linear is True
     assert peak < 1.25 * words.nbytes
 
 
@@ -273,6 +273,18 @@ def test_code_file_roundtrip_generator():
     text = format_code_file(code, explicit=False)
     parsed = parse_code_text(text)
     assert parsed == code
+
+
+def test_code_file_generator_form_roundtrip():
+    # the rows of basis(), for codes enumerated from a generator and for the
+    # same words given as a set
+    rng = np.random.default_rng(229)
+    for _ in range(40):
+        n = int(rng.integers(1, 17))
+        enumerated = random_linear_code(rng, n, int(rng.integers(0, min(n, 8) + 1)))
+        for code in (enumerated, BinaryCode(n, enumerated.words.tolist())):
+            text = format_code_file(code, explicit=False)
+            assert text.startswith(f"{n} {code.rank()}\n") and parse_code_text(text) == code
 
 
 def test_code_file_parse_errors_carry_line_numbers():

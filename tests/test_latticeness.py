@@ -259,7 +259,7 @@ def test_carry_set_of_closed_product_chain_stays_inside():
     codes, _ = catalog.dn_plus(4)
     main = product_main_code(list(codes))
     S = carry_set(main)
-    assert all(w in main.inner for w in S)
+    assert all(main.contains(w) for w in S)
 
 
 def test_thm5_examples():
