@@ -1,8 +1,11 @@
 """Exact deciders for whether a lifted constellation is a lattice.
 
 A periodic set that contains q*Z^n is a lattice iff its representative set
-is a group under subtraction mod q; that subtraction scan is the
-independent brute-force oracle here.  The structured tests work on the
+is a group under subtraction mod q; that group test is the independent
+brute-force oracle here.  It grows the span of the reps first, which
+decides a lattice in O(m*n*L) lane operations, and scans the m^2
+differences for the first failing pair only on a non-lattice, under the
+pair budget.  The structured tests work on the
 generating codes instead: the nested Schur-chain test for Construction C,
 a sufficient antiprojection-chain test, and the exact carry-set inclusion
 test for Construction C*.
@@ -71,16 +74,16 @@ def brute_closure_oracle(
 ) -> LatticenessReport:
     """Group test on the representative set: (a - b) mod q must stay inside.
 
-    Independent of every code-level test; the witness is the first
-    violating ordered pair in canonical rep order.
+    Independent of every code-level test.  While n*L <= 64, ``_span_test``
+    first grows the span of the reps in O(m*n*L) lane operations; a lattice
+    returns there, with ``pairs_scanned`` = m^2, the pairs its closure
+    covers.  Otherwise the first-gap scan finds the witness, the first
+    violating ordered pair in canonical rep order, and ``budget`` bounds
+    only that m^2 scan.  A set without zero fails before either.
     """
-    q, n = constellation.q, constellation.n
+    q, n, L = constellation.q, constellation.n, constellation.L
     reps = constellation.array
     m = len(reps)
-    if m * m > budget:
-        raise BudgetExceededError(
-            f"{m}^2 pairs exceed the scan budget {budget}"
-        )
     zero = tuple([0] * n)
     if not constellation.has_rep(zero):
         return LatticenessReport(
@@ -89,8 +92,18 @@ def brute_closure_oracle(
             witness={"missing_zero": True},
             pairs_scanned=0,
         )
-    if n * constellation.L <= KEY_BITS:
-        gap = _first_gap_packed(reps, q, constellation.L)
+    packed = n * L <= KEY_BITS
+    if packed:
+        keys = rep_keys(reps.T, q)  # sorted, as the reps are
+        high = np.uint64(sum(1 << (j * L + L - 1) for j in range(n)))
+        if _span_test(keys, high):
+            return LatticenessReport(verdict=LATTICE, method="brute", pairs_scanned=m * m)
+    if m * m > budget:
+        raise BudgetExceededError(
+            f"{m}^2 pairs exceed the scan budget {budget}"
+        )
+    if packed:
+        gap = _first_gap_packed(keys, q**n, high)
     else:
         gap = _first_gap_rows(constellation, reps)
     if gap is None:
@@ -108,6 +121,46 @@ def brute_closure_oracle(
     )
 
 
+def _span_test(keys: np.ndarray, high) -> bool:
+    """Whether the sorted packed ``keys``, 0 first, form a subgroup of Z_q^n.
+
+    Grows the span S of the keys from S = {0}.  The first key outside S is
+    the next generator g, and S gains the cosets S - g, S - 2g, ... until
+    -t*g lands back in S; cosets are equal or disjoint, so one lookup of
+    the image of 0 decides each.  A subgroup holds every difference of its
+    elements, so a coset that leaves the keys proves they are not one, and
+    S never outgrows them.  S at least doubles per generator: at most n*L
+    rounds and O(m*n*L) lane operations.  ``high`` is ``_lane_sub``'s
+    top-bit mask.
+    """
+    last = len(keys) - 1
+    covered = np.zeros(len(keys), dtype=bool)
+    covered[0] = True
+    span = keys[:1]
+    g_at = 0
+    while True:
+        g_at += int(np.argmin(covered[g_at:]))  # first key outside S
+        if covered[g_at]:
+            return True  # every key lies in S, and S inside the keys
+        g = keys[g_at]
+        cosets = [span]
+        image = span[0]  # S - t*g holds -t*g at the place of 0
+        while True:
+            image = _lane_sub(image, g, high)
+            at = min(int(keys.searchsorted(image)), last)
+            if keys[at] != image:
+                return False
+            if covered[at]:
+                break
+            coset = _lane_sub(cosets[-1], g, high)
+            pos = np.minimum(keys.searchsorted(coset), last)
+            if not (keys[pos] == coset).all():
+                return False
+            covered[pos] = True
+            cosets.append(coset)
+        span = np.concatenate(cosets)
+
+
 def _key_lookup(keys: np.ndarray, size: int):
     """Membership test of uint64 probes among the sorted ``keys``, all < ``size``.
 
@@ -123,18 +176,17 @@ def _key_lookup(keys: np.ndarray, size: int):
     return lambda probes: keys[np.minimum(keys.searchsorted(probes), last)] == probes
 
 
-def _first_gap_packed(reps: np.ndarray, q: int, L: int) -> tuple[int, int] | None:
-    """First ordered pair (i, j) with reps[i] - reps[j] mod q outside the reps.
+def _first_gap_packed(keys: np.ndarray, size: int, high) -> tuple[int, int] | None:
+    """First ordered pair (i, j) with key i - key j outside the sorted ``keys``.
 
-    Needs n*L <= 64: each rep is one packed key, each difference one
-    ``_lane_sub`` and one lookup.  Rows are scanned in blocks that start at
-    one row, so a set failing early stops early, and double up to
-    ``_BLOCK_KEYS`` differences.
+    The keys are packed reps of n L-bit lanes (n*L <= 64), all below
+    ``size`` = q^n; each difference is one ``_lane_sub`` with the lane
+    top bits ``high`` and one lookup.  Rows are scanned in blocks that
+    start at one row, so a set failing early stops early, and double up
+    to ``_BLOCK_KEYS`` differences.
     """
-    m, n = reps.shape
-    keys = rep_keys(reps.T, q)  # sorted, as the reps are
-    member = _key_lookup(keys, q**n)
-    high = np.uint64(sum(1 << (j * L + L - 1) for j in range(n)))
+    m = len(keys)
+    member = _key_lookup(keys, size)
     cap = max(1, _BLOCK_KEYS // m)
     i, rows = 0, 1
     while i < m:

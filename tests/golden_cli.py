@@ -44,6 +44,8 @@ def _cases() -> list[tuple[str, list[str], dict[str, str]]]:
         ("readme-construct-c-dnplus7", "construct --kind c --catalog dnplus --n 7", {}),
         ("readme-check-all-ex9", "check --lattice all --catalog ex9", {}),
         ("readme-check-thm5-leech", "check --lattice thm5 --catalog leech", {}),
+        ("readme-check-brute-d-dnplus18",
+         "check --lattice brute --kind d --catalog dnplus --n 18", {}),
         ("readme-check-eds-ex2", "check --eds --catalog ex2 --kind c --radius 2", {}),
         ("readme-check-spectrum-ex2",
          "check --spectrum 1,1 --radius 2 --catalog ex2 --kind c", {}),

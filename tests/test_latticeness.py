@@ -664,14 +664,15 @@ def _peak_bytes(fn):
 
 
 def test_brute_oracle_table_at_and_past_cap(monkeypatch):
-    # q^n at the cap builds the q^n-byte table; one more lane looks up by
-    # searchsorted
+    # q^n at the cap builds the q^n-byte table for the first-gap scan of a
+    # non-lattice; one more lane looks up by searchsorted.  The span test
+    # decides a lattice with no table at all
     rng = np.random.default_rng(24)
     L, n = 3, 6
     monkeypatch.setattr(latticeness, "_TABLE_CAP", 8**n)
     for lanes, tabled in ((n, True), (n + 1, False)):
         zero = PeriodicConstellation(n=lanes, L=L, q=8, reps=((0,) * lanes,))
-        for P in (_symmetric_set(rng, lanes, L, 5), zero):
+        for P, table in ((_symmetric_set(rng, lanes, L, 5), tabled), (zero, False)):
             ref = brute_rows_oracle(P)
             got, peak = _peak_bytes(lambda: brute_closure_oracle(P))
             assert (got.verdict, got.witness, got.pairs_scanned) == (
@@ -679,7 +680,8 @@ def test_brute_oracle_table_at_and_past_cap(monkeypatch):
                 ref.witness,
                 ref.pairs_scanned,
             )
-            assert (peak >= 8**n) == tabled
+            assert got.verdict == (LATTICE if P is zero else NOT_LATTICE)
+            assert (peak >= 8**n) == table
 
 
 def test_brute_oracle_memory_is_bounded():
@@ -691,3 +693,91 @@ def test_brute_oracle_memory_is_bounded():
     report, peak = _peak_bytes(lambda: brute_closure_oracle(P))
     assert report.verdict == LATTICE and report.pairs_scanned == 4096**2
     assert peak < 8 << 20
+
+
+def _random_rep_set(rng: np.random.Generator, kind: int, n: int, L: int) -> PeriodicConstellation:
+    """One random rep set of ``kind``: C* of a random linear (0) or lattice (1)
+    main code, C* of a nonlinear main code (2), the D lift of a random
+    nested chain (3), a ``_symmetric_set`` (4) or a set without zero (5)."""
+    q, nl = 1 << L, n * L
+    if kind == 0:
+        return construction_cstar(random_linear_main_code(rng, n, L, int(rng.integers(0, 5))))
+    if kind == 1:
+        return construction_cstar(random_lattice_main_code(rng, n, L, int(rng.integers(1, 3))))
+    if kind == 2:
+        words = random_words(rng, int(rng.integers(1, 8)), nl)
+        return construction_cstar(MainCode(BinaryCode(nl, [0, *words]), n, L))
+    if kind == 3:
+        codes = [random_linear_code(rng, n, int(rng.integers(0, 3)))]
+        for _ in range(L - 1):
+            extra = random_words(rng, int(rng.integers(0, 2)), n)
+            codes.append(enumerate_from_generator(codes[-1].words.tolist() + extra, n=n))
+        return construction_d(codes)
+    if kind == 4:
+        return _symmetric_set(rng, n, L, int(rng.integers(1, 3)), int(rng.integers(0, 2)))
+    pts = {tuple(p) for p in rng.integers(0, q, size=(int(rng.integers(1, 6)), n)).tolist()}
+    pts.discard((0,) * n)
+    return PeriodicConstellation(n=n, L=L, q=q, reps=sorted(pts or {(1,) * n}))
+
+
+def test_span_test_decides_every_lattice(monkeypatch):
+    # verdicts against the plain-Python group test; the first-gap scan runs
+    # on non-lattices only, so the span test alone decided every lattice
+    scans = []
+    first_gap = latticeness._first_gap_packed
+    monkeypatch.setattr(
+        latticeness, "_first_gap_packed", lambda *args: scans.append(args) or first_gap(*args)
+    )
+    rng = np.random.default_rng(25)
+    seen = set()
+    for t in range(600):
+        kind, n, L = t % 6, int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        P = _random_rep_set(rng, kind, n, L)
+        if len(P) > 64:  # keeps the Python oracle's m^2 loop short
+            continue
+        scans.clear()
+        lattice = oracle_is_lattice(P)
+        assert (brute_closure_oracle(P).verdict == LATTICE) == lattice
+        assert not (lattice and scans)
+        seen.add((kind, L == 1, lattice))
+    # both verdicts on C* of linear main codes past L = 1, and on nonlinear
+    # main codes and symmetric sets at L = 1 (XOR lanes) and past it; these
+    # small D lifts and every L = 1 linear lift are lattices
+    both = {(kind, xor, v) for kind in (2, 4) for xor in (True, False) for v in (True, False)}
+    assert both | {(0, False, False), (0, False, True), (0, True, True)} <= seen
+    assert {(k, xor, True) for k in (1, 3) for xor in (True, False)} <= seen
+    assert {(5, True, False), (5, False, False)} <= seen
+    assert not any(v for kind, _, v in seen if kind == 5)
+
+
+@pytest.fixture(scope="module")
+def dn18_plus():
+    # D_18^+ from [repetition_code(18), even_parity_code(18)]: 2^18 reps, 2^36 pairs
+    codes = [catalog.repetition_code(18), catalog.even_parity_code(18)]
+    return construction_c(codes), construction_d(codes)
+
+
+def test_brute_oracle_decides_lattices_past_the_pair_budget(dn18_plus):
+    for P in dn18_plus:
+        assert len(P) == 1 << 18
+        report, peak = _peak_bytes(lambda: brute_closure_oracle(P))
+        assert report.verdict == LATTICE and report.pairs_scanned == 2**36
+        assert peak < 64 * len(P)
+
+
+def test_brute_oracle_past_the_pair_budget_without_a_lattice(dn18_plus):
+    # one rep moved off the lattice: only the m^2 scan finds a witness, and
+    # the budget refuses it; with zero moved away no scan is needed
+    P = dn18_plus[1]
+    for row, moved_to in ((-1, 1), (0, 1)):
+        reps = P.array.copy()
+        reps[row, 0] = moved_to
+        assert not P.has_rep(tuple(reps[row].tolist()))
+        moved = PeriodicConstellation(n=P.n, L=P.L, q=P.q, reps=reps)
+        if row:
+            with pytest.raises(BudgetExceededError):
+                brute_closure_oracle(moved)
+        else:
+            report = brute_closure_oracle(moved)
+            assert report.verdict == NOT_LATTICE
+            assert report.witness == {"missing_zero": True} and report.pairs_scanned == 0
