@@ -41,11 +41,11 @@ class MainCode:
     ``MainCode(inner, n, L)`` holds the words: ``inner`` is a ``BinaryCode``
     of length n*L <= 64.  ``MainCode.from_generators(rows, n, L)`` holds a
     linear code by its reduced generator rows alone: ``inner`` is the tuple
-    of those rows, for any n*L and 2^k words.  A word is then a member iff
-    its residual against the rows (``gf2_residual``) is zero, and words are
-    built only when ``levels()`` asks for them, under the enumeration cap.
-    Membership, the generators and the projection and zero-antiprojection
-    bases answer in both forms.
+    of those rows, for any n*L and 2^k words, and words are built only
+    when ``levels()`` asks for them, under the enumeration cap.  Membership
+    (``member_mask`` of a level array, ``contains`` of one word), the
+    generators and the projection and zero-antiprojection bases answer in
+    both forms.
     """
 
     inner: BinaryCode | tuple[int, ...]
@@ -90,13 +90,34 @@ class MainCode:
         return self.inner.linear if isinstance(self.inner, BinaryCode) else True
 
     def contains(self, word) -> bool:
-        if isinstance(self.inner, BinaryCode):
-            return word in self.inner
+        """Whether an int or BitWord is a codeword: ``member_mask`` of its levels."""
         if isinstance(word, BitWord):
             if word.n != self.n * self.L:
                 return False
             word = word.bits
-        return not gf2_residual(int(word), self.inner)  # a bit past n*L stays set
+        word = int(word)
+        if word < 0 or word >> (self.n * self.L):
+            return False
+        return bool(self.member_mask(np.array(self.split(word), dtype=np.uint64)[:, None])[0])
+
+    def member_mask(self, levels: np.ndarray) -> np.ndarray:
+        """Which columns of an (L, m) uint64 level array are codewords.
+
+        A linear code, in either form, reduces every column at once against
+        ``generators()``, leading bits descending: a column is a codeword
+        iff it reduces to zero (as ``gf2_residual``).  A nonlinear code looks
+        the packed columns up among its words.
+        """
+        rest = np.array(levels, dtype=np.uint64)
+        if not self.linear:
+            shifts = np.arange(self.L, dtype=np.uint64)[:, None] * np.uint64(self.n)
+            return self.inner.member_mask(np.bitwise_or.reduce(rest << shifts, axis=0))
+        gens = self.generators()
+        parts = np.array([self.split(g) for g in gens], dtype=np.uint64).reshape(-1, self.L, 1)
+        for g, part in zip(gens, parts):
+            level, bit = divmod(g.bit_length() - 1, self.n)
+            rest ^= part * ((rest[level] >> np.uint64(bit)) & np.uint64(1))
+        return ~rest.any(axis=0)
 
     def generators(self) -> list[int]:
         """A basis, leading bits descending (the rows of the generator form)."""

@@ -182,10 +182,7 @@ def dmin_to_zero(obj: PeriodicConstellation | MainCode) -> int:
 
 
 def dmin_to_zero_structured(
-    prefixes: Iterable[tuple[Sequence[int], int]],
-    n: int,
-    L: int,
-    chunk: int = 8192,
+    prefixes: Iterable[tuple[Sequence[int], int]], n: int, L: int
 ) -> int:
     """Exact distance to zero when the last level ranges over a parity coset.
 
@@ -195,51 +192,28 @@ def dmin_to_zero_structured(
     last bit 1; independent coordinate minimisation plus a single
     cheapest-coordinate parity repair is exact because only the parity
     couples coordinates.  The zero coset contributes its best nonzero
-    point.  The result is capped by the pure translate q^2.
+    point.  The result is capped by the pure translate q^2.  All prefixes
+    go through one array pass.
     """
     if L < 1:
         raise ValueError("need at least one level")
-    q = 1 << L
-    half = 1 << (L - 1)
-    best = q * q
-    batch: list[tuple[Sequence[int], int]] = []
-    saw_any = False
-
-    def flush(batch: list[tuple[Sequence[int], int]]) -> int:
-        nonlocal best
-        parities = np.array([p for _, p in batch], dtype=np.int64)
-        levels = np.array([lv for lv, _ in batch], dtype=np.uint64)
-        t = np.zeros((len(batch), n), dtype=np.int64)
-        for i in range(levels.shape[1]):
-            t += _bit_matrix(levels[:, i], n) << i
-        cost0 = t * t
-        cost1 = (half - t) ** 2
-        base = np.minimum(cost0, cost1).sum(axis=1)
-        chose1 = (cost1 < cost0).astype(np.int64)
-        penalty = np.abs(cost1 - cost0)
-        need_fix = (chose1.sum(axis=1) & 1) != (parities & 1)
-        totals = base + np.where(need_fix, penalty.min(axis=1), 0)
-        # the zero coset's optimum is the zero point itself; replace it by
-        # the best nonzero choice: a q-translate or the two cheapest flips
-        for row in np.nonzero(totals == 0)[0]:
-            alts = [q * q]
-            if n >= 2:
-                two = np.sort(penalty[row])[:2]
-                alts.append(int(two[0] + two[1]))
-            totals[row] = min(alts)
-        return int(totals.min())
-
-    for prefix in prefixes:
-        saw_any = True
-        batch.append(prefix)
-        if len(batch) >= chunk:
-            best = min(best, flush(batch))
-            batch = []
-    if batch:
-        best = min(best, flush(batch))
-    if not saw_any:
+    batch = list(prefixes)
+    if not batch:
         raise ValueError("prefix set is empty")
-    return min(best, q * q)
+    q, half = 1 << L, 1 << (L - 1)
+    levels = np.array([lv for lv, _ in batch], dtype=np.uint64)
+    t = np.zeros((len(batch), n), dtype=np.int64)
+    for i, col in enumerate(levels.T):
+        t += _bit_matrix(col, n) << i
+    cost0, cost1 = t * t, (half - t) ** 2
+    penalty = np.abs(cost1 - cost0)
+    odd = ((cost1 < cost0).sum(axis=1) & 1) != (np.array([p for _, p in batch]) & 1)
+    totals = np.minimum(cost0, cost1).sum(axis=1) + np.where(odd, penalty.min(axis=1), 0)
+    # the zero coset's optimum is the zero point itself; replace it by the
+    # best nonzero choice: the two cheapest flips, or a q-translate (the cap)
+    zero = totals == 0
+    totals[zero] = np.sort(penalty[zero], axis=1)[:, :2].sum(axis=1) if n >= 2 else q * q
+    return int(min(totals.min(), q * q))
 
 
 def dmin_upper_bound_antiprojection(main: MainCode) -> int:

@@ -228,11 +228,7 @@ class BinaryCode:
                 return False
             word = word.bits
         word = int(word)
-        if not 0 <= word < (1 << self.n):
-            return False
-        probe = np.uint64(word)  # a scalar probe skips member_mask's 0-d arrays
-        i = self.words.searchsorted(probe)
-        return i < len(self.words) and bool(self.words[i] == probe)
+        return 0 <= word < (1 << self.n) and bool(self.member_mask([word])[0])
 
     def __eq__(self, other) -> bool:
         return (

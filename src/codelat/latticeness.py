@@ -3,9 +3,9 @@
 A periodic set that contains q*Z^n is a lattice iff its representative set
 is a group under subtraction mod q; that group test is the independent
 brute-force oracle here.  It grows the span of the reps first, which
-decides a lattice in O(m*n*L) lane operations, and scans the m^2
-differences for the first failing pair only on a non-lattice, under the
-pair budget.  The structured tests work on the
+decides a lattice in O(m*n*L) lane operations and meets a failing pair of
+a non-lattice, and scans the m^2 differences for the first failing pair
+only on a non-lattice within the pair budget.  The structured tests work on the
 generating codes instead: the nested Schur-chain test for Construction C,
 a sufficient antiprojection-chain test, and the exact carry-set inclusion
 test for Construction C*.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,9 +78,12 @@ def brute_closure_oracle(
     Independent of every code-level test.  While n*L <= 64, ``_span_test``
     first grows the span of the reps in O(m*n*L) lane operations; a lattice
     returns there, with ``pairs_scanned`` = m^2, the pairs its closure
-    covers.  Otherwise the first-gap scan finds the witness, the first
-    violating ordered pair in canonical rep order, and ``budget`` bounds
-    only that m^2 scan.  A set without zero fails before either.
+    covers.  Otherwise, within the ``budget`` of m^2 pairs, the first-gap
+    scan finds the witness, the first violating ordered pair in canonical
+    rep order.  Past the budget, a non-lattice's witness is the failing
+    pair the span test met, with the differences it computed as
+    ``pairs_scanned``; only a set too wide to pack raises
+    ``BudgetExceededError`` there.  A set without zero fails before either.
     """
     q, n, L = constellation.q, constellation.n, constellation.L
     reps = constellation.array
@@ -92,23 +96,24 @@ def brute_closure_oracle(
             witness={"missing_zero": True},
             pairs_scanned=0,
         )
-    packed = n * L <= KEY_BITS
+    packed, gap = n * L <= KEY_BITS, None
     if packed:
         keys = rep_keys(reps.T, q)  # sorted, as the reps are
         high = np.uint64(sum(1 << (j * L + L - 1) for j in range(n)))
-        if _span_test(keys, high):
+        gap = _span_test(keys, high)
+        if gap is None:
             return LatticenessReport(verdict=LATTICE, method="brute", pairs_scanned=m * m)
-    if m * m > budget:
-        raise BudgetExceededError(
-            f"{m}^2 pairs exceed the scan budget {budget}"
-        )
-    if packed:
-        gap = _first_gap_packed(keys, q**n, high)
-    else:
-        gap = _first_gap_rows(constellation, reps)
-    if gap is None:
-        return LatticenessReport(verdict=LATTICE, method="brute", pairs_scanned=m * m)
-    i, j = gap
+    if m * m <= budget:
+        if packed:
+            first = _first_gap_packed(keys, q**n, high)
+        else:
+            first = _first_gap_rows(constellation, reps)
+        if first is None:
+            return LatticenessReport(verdict=LATTICE, method="brute", pairs_scanned=m * m)
+        gap = (*first, (first[0] + 1) * m)
+    elif gap is None:
+        raise BudgetExceededError(f"{m}^2 pairs exceed the scan budget {budget}")
+    i, j, pairs = gap
     return LatticenessReport(
         verdict=NOT_LATTICE,
         method="brute",
@@ -117,12 +122,14 @@ def brute_closure_oracle(
             "b": reps[j].tolist(),
             "difference": np.mod(reps[i] - reps[j], q).tolist(),
         },
-        pairs_scanned=(i + 1) * m,
+        pairs_scanned=pairs,
     )
 
 
-def _span_test(keys: np.ndarray, high) -> bool:
-    """Whether the sorted packed ``keys``, 0 first, form a subgroup of Z_q^n.
+def _span_test(keys: np.ndarray, high) -> tuple[int, int, int] | None:
+    """None when the sorted packed ``keys``, 0 first, form a subgroup of
+    Z_q^n; else (i, j, tested): key i - key j is not a key, and ``tested``
+    differences were computed up to that one.
 
     Grows the span S of the keys from S = {0}.  The first key outside S is
     the next generator g, and S gains the cosets S - g, S - 2g, ... until
@@ -137,25 +144,30 @@ def _span_test(keys: np.ndarray, high) -> bool:
     covered = np.zeros(len(keys), dtype=bool)
     covered[0] = True
     span = keys[:1]
-    g_at = 0
+    g_at = tested = 0
     while True:
         g_at += int(np.argmin(covered[g_at:]))  # first key outside S
         if covered[g_at]:
-            return True  # every key lies in S, and S inside the keys
+            return None  # every key lies in S, and S inside the keys
         g = keys[g_at]
         cosets = [span]
-        image = span[0]  # S - t*g holds -t*g at the place of 0
+        image_at = 0  # S - t*g holds -t*g at the place of 0
         while True:
-            image = _lane_sub(image, g, high)
+            image = _lane_sub(keys[image_at], g, high)
             at = min(int(keys.searchsorted(image)), last)
+            tested += 1
             if keys[at] != image:
-                return False
+                return image_at, g_at, tested
             if covered[at]:
                 break
+            image_at = at
             coset = _lane_sub(cosets[-1], g, high)
             pos = np.minimum(keys.searchsorted(coset), last)
-            if not (keys[pos] == coset).all():
-                return False
+            miss = keys[pos] != coset
+            if miss.any():
+                f = int(np.argmax(miss))
+                return int(keys.searchsorted(cosets[-1][f])), g_at, tested + f + 1
+            tested += len(coset)
             covered[pos] = True
             cosets.append(coset)
         span = np.concatenate(cosets)
@@ -269,34 +281,32 @@ def _spans_inside(basis: Sequence[int], target: Sequence[int]) -> bool:
     return not any(gf2_residual(b, target) for b in basis)
 
 
-def _full_adder(c: int, d: int, n: int, levels: int) -> int:
-    """Carries of adding the lifts of two int-packed main words.
+def _full_adder(c, d, levels: int) -> list:
+    """Carries s_1, ..., s_levels of adding the lifts of two main words.
 
+    ``c`` and ``d`` hold the level words of the two words, level i (0-based)
+    at index i: ints, or arrays holding the level words of many pairs.
     Runs the full-adder recursion s_i = (c_i AND d_i) XOR ((c_i XOR d_i)
-    AND s_{i-1}), with s_0 = 0, over the first ``levels`` levels, and
-    returns the packed carry tuple (0, s_1, ..., s_levels): carry s_i sits
-    at level i (0-based), the level it carries into.
+    AND s_{i-1}), with s_0 = 0; carry s_i sits at level i (0-based), the
+    level it carries into.
     """
-    mask = (1 << n) - 1
-    carry = packed = 0
+    carry, out = 0, []
     for i in range(levels):
-        ci = (c >> (i * n)) & mask
-        di = (d >> (i * n)) & mask
-        carry = (ci & di) ^ ((ci ^ di) & carry)
-        packed |= carry << ((i + 1) * n)
-    return packed
+        carry = (c[i] & d[i]) ^ ((c[i] ^ d[i]) & carry)
+        out.append(carry)
+    return out
 
 
-def _word_bits(word, nl: int) -> int:
-    """The int bits of a main word given as an int or as a length-``nl`` BitWord."""
+def _level_words(word, n: int, L: int) -> list[int]:
+    """The L level words of a main word given as an int or a length-n*L BitWord."""
     if isinstance(word, BitWord):
-        if word.n != nl:
-            raise LengthMismatchError(f"word length {word.n} != n*L = {nl}")
-        return word.bits
+        if word.n != n * L:
+            raise LengthMismatchError(f"word length {word.n} != n*L = {n * L}")
+        word = word.bits
     bits = int(word)
-    if bits >> nl:  # negative, or wider than n*L bits
-        raise LengthMismatchError(f"word {bits} is not an n*L = {nl} bit word")
-    return bits
+    if bits >> (n * L):  # negative, or wider than n*L bits
+        raise LengthMismatchError(f"word {bits} is not an n*L = {n * L} bit word")
+    return [(bits >> (i * n)) & ((1 << n) - 1) for i in range(L)]
 
 
 def carry_terms(c, c_tilde, n: int, L: int) -> CarryRecord:
@@ -308,52 +318,35 @@ def carry_terms(c, c_tilde, n: int, L: int) -> CarryRecord:
     Together these reconstruct the plain integer sum of the two lifted
     points exactly (see ``reconstruct_sum``).
     """
-    packed = _full_adder(_word_bits(c, n * L), _word_bits(c_tilde, n * L), n, L)
-    mask = (1 << n) - 1
+    carries = _full_adder(_level_words(c, n, L), _level_words(c_tilde, n, L), L)
     return CarryRecord(
-        s=tuple(BitWord((packed >> (i * n)) & mask, n) for i in range(1, L)),
-        s_star=tuple((packed >> (L * n + j)) & 1 for j in range(n)),
+        s=tuple(BitWord(s, n) for s in carries[:-1]),
+        s_star=tuple((carries[-1] >> j) & 1 for j in range(n)),
     )
 
 
 def reconstruct_sum(c, c_tilde, n: int, L: int) -> tuple[int, ...]:
     """Integer vector sum of the two lifted points, via digits and carries.
 
-    The sum's digit word is c XOR c_tilde XOR (0, s_1, ..., s_L): its
-    levels 0..L-1 are the digits mod q, and the last carry s_L is digit L,
-    worth 2^L.  Coordinate j reads its L + 1 digits, top level first, as
-    one binary numeral.
+    Digit i of the sum is c_i XOR d_i XOR s_i (s_0 = 0) for the levels
+    i = 0..L-1, the digits mod q, and the last carry s_L is digit L, worth
+    2^L.  Coordinate j reads its L + 1 digits, top level first, as one
+    binary numeral.
     """
-    cw, dw = _word_bits(c, n * L), _word_bits(c_tilde, n * L)
-    digits = cw ^ dw ^ _full_adder(cw, dw, n, L)
+    cw, dw = _level_words(c, n, L), _level_words(c_tilde, n, L)
+    carries = _full_adder(cw, dw, L)
+    digits = [x ^ y ^ s for x, y, s in zip(cw, dw, [0] + carries)] + carries[-1:]
     # most significant bit first: level L, then L - 1, ...; coordinate n - 1
     # first within a level, so coordinate j's digits start at n - 1 - j
-    text = format(digits, f"0{(L + 1) * n}b")
+    text = format(sum(w << (i * n) for i, w in enumerate(digits)), f"0{(L + 1) * n}b")
     return tuple(int(text[n - 1 - j :: n], 2) for j in range(n))
-
-
-def _combinations_by_weight(basis: Sequence[int], max_weight: int) -> list[list[int]]:
-    """XORs of the w-subsets of ``basis`` for w = 0..max_weight, grouped by w.
-
-    Subsets are grown in increasing index order, so each appears once.
-    """
-    layer = [(-1, 0)]  # (last basis index used, XOR of the subset)
-    out = [[0]]
-    for _ in range(max_weight):
-        layer = [
-            (j, word ^ basis[j])
-            for last, word in layer
-            for j in range(last + 1, len(basis))
-        ]
-        out.append([word for _, word in layer])
-    return out
 
 
 def thm5_check(main: MainCode, budget: int = DEFAULT_PAIR_BUDGET) -> LatticenessReport:
     """Necessary and sufficient test: the carry set must lie inside the code.
 
     ``main`` is a linear main code in either form; it is never enumerated,
-    only its generators and membership are used.
+    only its generators and ``member_mask`` are used.
 
     Only low-weight generator combinations are tested.  Write c = aG and
     d = bG for a basis G of dimension k.  The carry s_i has degree i + 1 in
@@ -369,11 +362,13 @@ def thm5_check(main: MainCode, budget: int = DEFAULT_PAIR_BUDGET) -> Latticeness
     skipped.  That is at most sum_{w <= L} C(2k, w) pairs instead of 4^k/2,
     and the budget bounds that sum.
 
-    Pairs are tested in increasing total weight.  The witness of a
+    Pairs are tested in increasing total weight, then by the weight of a,
+    with the subsets of each weight in lexicographic order of their basis
+    indices.  The witness of a
     not_lattice verdict is the first pair whose carry tuple falls outside
     the code: the codewords ``c`` and ``c_tilde`` of that pair and the
     ``carry_tuple``; it re-derives via ``carry_terms``.  ``pairs_scanned``
-    counts the pairs tested.
+    counts the pairs tested up to that one.
     """
     if not main.linear:
         raise ValueError("the carry-set test requires a verified-linear main code")
@@ -385,26 +380,38 @@ def thm5_check(main: MainCode, budget: int = DEFAULT_PAIR_BUDGET) -> Latticeness
         raise BudgetExceededError(
             f"{bound} low-weight pairs exceed the scan budget {budget}"
         )
-    combos = _combinations_by_weight(basis, L - 1)
+    gens = np.array([main.split(g) for g in basis], dtype=np.uint64).reshape(k, L).T
+    combos = []  # (L, C(k, w)) level arrays of the XORs of the w-subsets of the basis
+    for w in range(L):
+        subsets = np.array(list(combinations(range(k), w)), dtype=np.intp)
+        combos.append(np.bitwise_xor.reduce(gens[:, subsets.reshape(math.comb(k, w), w)], axis=2))
     pairs = 0
-    for total in range(2, L + 1):
-        for wa in range(1, total // 2 + 1):
-            left, right = combos[wa], combos[total - wa]
-            for i, c in enumerate(left):
-                for d in right[i:] if wa == total - wa else right:
-                    pairs += 1
-                    carry = _full_adder(c, d, n, L - 1)  # (0, s_1, ..., s_{L-1})
-                    if not main.contains(carry):
-                        return LatticenessReport(
-                            verdict=NOT_LATTICE,
-                            method="thm5",
-                            witness={
-                                "c": BitWord(c, n * L).to_tuple(),
-                                "c_tilde": BitWord(d, n * L).to_tuple(),
-                                "carry_tuple": BitWord(carry, n * L).to_tuple(),
-                            },
-                            pairs_scanned=pairs,
-                        )
+    groups = [(wa, total - wa) for total in range(2, L + 1) for wa in range(1, total // 2 + 1)]
+    for wa, wb in groups:
+        # blocks of up to _BLOCK_KEYS pairs, a row taking combos[wb] from its
+        # own index on when wa = wb; a block costs mostly its member_mask call
+        left, right = combos[wa], combos[wb]
+        m = right.shape[1]
+        rows = max(1, _BLOCK_KEYS // max(m, 1))
+        for i in range(0, left.shape[1], rows):
+            block = np.arange(i, min(i + rows, left.shape[1]))
+            r, j = np.nonzero((np.arange(m) >= block[:, None]) | (wa != wb))
+            a, b = left[:, block[r]], right[:, j]
+            carry = np.zeros_like(a)
+            carry[1:] = _full_adder(a, b, L - 1)  # (0, s_1, ..., s_{L-1})
+            ok = main.member_mask(carry)
+            if not ok.all():
+                f = int(np.argmin(ok))
+                c, d, t = (
+                    BitWord(main.join(w[:, f].tolist()), n * L).to_tuple() for w in (a, b, carry)
+                )
+                return LatticenessReport(
+                    verdict=NOT_LATTICE,
+                    method="thm5",
+                    witness={"c": c, "c_tilde": d, "carry_tuple": t},
+                    pairs_scanned=pairs + f + 1,
+                )
+            pairs += len(r)
     return LatticenessReport(
         verdict=LATTICE,
         method="thm5",

@@ -46,6 +46,7 @@ def _cases() -> list[tuple[str, list[str], dict[str, str]]]:
         ("readme-check-thm5-leech", "check --lattice thm5 --catalog leech", {}),
         ("readme-check-brute-d-dnplus18",
          "check --lattice brute --kind d --catalog dnplus --n 18", {}),
+        ("readme-check-brute-dnplus17", "check --lattice brute --catalog dnplus --n 17", {}),
         ("readme-check-eds-ex2", "check --eds --catalog ex2 --kind c --radius 2", {}),
         ("readme-check-spectrum-ex2",
          "check --spectrum 1,1 --radius 2 --catalog ex2 --kind c", {}),

@@ -143,8 +143,9 @@ def test_leech_membership_predicate():
 
 
 def test_leech_membership_matches_structure_oracle():
-    # the generator form's byte-table membership against the structural
-    # predicate, on span members, their one-bit neighbours and random words
+    # the generator form's membership, one word at a time and in one
+    # member_mask batch, against the structural predicate, on span members,
+    # their one-bit neighbours and 2000 random 72-bit words
     leech = catalog.leech_main_code()
     rng = np.random.default_rng(151)
     gens = leech.generators()
@@ -159,12 +160,15 @@ def test_leech_membership_matches_structure_oracle():
     halves = rng.integers(0, 1 << 36, size=(2000, 2), dtype=np.uint64).tolist()
     randoms = [low | high << 36 for low, high in halves]
     verdicts = {True: 0, False: 0}
-    for word in members + flipped + randoms:
+    words = members + flipped + randoms
+    for word in words:
         want = oracle_leech_contains(word)
         assert leech.contains(word) == want
         assert leech.contains(BitWord(word, 72)) == want
         verdicts[want] += 1
     assert verdicts[True] == len(members) and verdicts[False] >= len(flipped)
+    levels = np.array([leech.split(w) for w in words], dtype=np.uint64).T
+    assert leech.member_mask(levels).tolist() == [oracle_leech_contains(w) for w in words]
     assert not leech.contains(1 << 72) and not leech.contains(BitWord(0, 24))
 
 

@@ -441,10 +441,25 @@ def test_lifts_and_scans_read_only_the_stored_array():
             P.array[0, 0] = 1
 
 
+def test_member_mask_of_a_nonlinear_code_reads_its_words():
+    rng = np.random.default_rng(26)
+    nonlinear = 0
+    for _ in range(100):
+        L = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 64 // L + 1))
+        main = MainCode(BinaryCode(n * L, random_words(rng, int(rng.integers(1, 9)), n * L)), n, L)
+        nonlinear += not main.linear
+        probes = main.inner.words.tolist() + random_words(rng, 20, n * L)
+        levels = np.array([main.split(w) for w in probes], dtype=np.uint64).reshape(-1, L).T
+        assert main.member_mask(levels).tolist() == [w in main.inner for w in probes]
+        assert main.member_mask(levels[:, :0]).shape == (0,)
+    assert nonlinear >= 80
+
+
 def test_generator_form_matches_word_form():
-    # contains, the generators' span, the projection and zero-antiprojection
-    # bases and the C* lift, on random linear main codes with n*L <= 64
-    # (k = 0 included)
+    # contains, member_mask, the generators' span, the projection and
+    # zero-antiprojection bases and the C* lift, on random linear main codes
+    # with n*L <= 64 (k = 0 included)
     rng = np.random.default_rng(157)
     for trial in range(150):
         L = int(rng.integers(1, 5))
@@ -460,6 +475,9 @@ def test_generator_form_matches_word_form():
         probes += [w ^ (1 << int(rng.integers(0, n * L))) for w in probes[:20]]
         assert [twin.contains(w) for w in probes] == [main.contains(w) for w in probes]
         assert not twin.contains(1 << (n * L)) and not twin.contains(BitWord(0, n * L + 1))
+        levels = np.array([main.split(w) for w in probes], dtype=np.uint64).reshape(-1, L).T
+        want = [w in main.inner for w in probes]  # binary search among the words
+        assert twin.member_mask(levels).tolist() == main.member_mask(levels).tolist() == want
         projections = projection_codes(main)
         for basis, code in zip(twin.projection_bases(), projections):
             assert enumerate_from_generator(basis, n=n) == code

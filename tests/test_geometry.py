@@ -25,6 +25,7 @@ from codelat.geometry import (
 )
 from codelat.gf2 import BinaryCode, enumerate_from_generator
 from oracles import (
+    dmin_to_zero_structured_chunked,
     oracle_antiprojection_set,
     oracle_eds,
     oracle_min_distance_squared,
@@ -102,6 +103,28 @@ def test_dmin_to_zero_equals_top_digit_form():
 def test_dmin_to_zero_leech_structured():
     leech = catalog.leech_main_code()
     assert dmin_to_zero_structured(leech.prefixes(), n=24, L=3) == 32
+    assert dmin_to_zero_structured_chunked(leech.prefixes(), n=24, L=3, chunk=1000) == 32
+
+
+def test_structured_solver_matches_chunked_reference():
+    # the one array pass against the chunked solver with its row-by-row
+    # zero-coset repair, on random prefix sets (L = 1..4; the zero prefix,
+    # even or odd, in half of them) cut into chunks of 1 to 5 prefixes
+    rng = np.random.default_rng(26)
+    zero_sets = 0
+    for t in range(3000):
+        n, L = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        size = int(rng.integers(1, 9))
+        prefixes = [
+            (tuple(random_words(rng, L - 1, n)), int(rng.integers(0, 2))) for _ in range(size)
+        ]
+        if t % 2:
+            prefixes.insert(int(rng.integers(0, size + 1)), ((0,) * (L - 1), int(rng.integers(0, 2))))
+        got = dmin_to_zero_structured(iter(prefixes), n=n, L=L)
+        ref = dmin_to_zero_structured_chunked(prefixes, n=n, L=L, chunk=int(rng.integers(1, 6)))
+        assert got == ref
+        zero_sets += any(not any(lv) and not p for lv, p in prefixes)
+    assert zero_sets >= 500
 
 
 def test_structured_solver_small_cases():

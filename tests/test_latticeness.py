@@ -53,6 +53,7 @@ from oracles import (
     schur_closed_chain,
     thm4_all_pairs_oracle,
     thm5_full_scan,
+    thm5_per_pair,
 )
 
 
@@ -367,6 +368,79 @@ def test_thm5_rejects_leech_variant_with_random_level_two():
     assert variant.contains(c) and variant.contains(d) and not variant.contains(t)
     record = carry_terms(c, d, 24, 3)
     assert t == sum(s.bits << ((i + 1) * 24) for i, s in enumerate(record.s))
+
+
+def _random_thm5_code(rng: np.random.Generator, t: int) -> MainCode:
+    """One of five kinds of linear main code by ``t``: random words form (k = 0
+    every 25th), its generator twin, a lattice digit code or it with one more
+    generator word, a product code, or a generator form past n*L = 64."""
+    kind, L = t % 5, int(rng.integers(1, 5))
+    n = int(rng.integers(1, 7))
+    k_max = {1: 12, 2: 10, 3: 8, 4: 6}[L]  # keeps the per-pair reference short
+    if kind < 2:
+        k = 0 if t % 25 < 2 else int(rng.integers(0, min(n * L, k_max) + 1))
+        main = random_linear_main_code(rng, n, L, k)
+        return generator_twin(rng, main) if kind else main
+    if kind == 2:  # a lattice, or one extra generator word away from one
+        main = random_lattice_main_code(rng, min(n, 4), L, int(rng.integers(1, 4)))
+        if not main.linear or main.inner.rank() >= k_max:
+            return random_linear_main_code(rng, n, L, 0)
+        extra = [int(rng.integers(0, 1 << (main.n * L)))] if t % 10 == 7 else []
+        return MainCode.from_generators(main.generators() + extra, main.n, L)
+    if kind == 4:  # past n*L = 64: random rows, or a product as below
+        L = int(rng.integers(2, 4))
+        n = int(rng.integers(64 // L + 1, 34))
+        if t % 10 == 4:
+            shifts = rng.integers(0, n * L - 61, size=int(rng.integers(0, 5))).tolist()
+            return MainCode.from_generators([int(rng.integers(0, 1 << 62)) << s for s in shifts], n, L)
+    return product_main_code([random_linear_code(rng, n, int(rng.integers(0, 3))) for _ in range(L)])
+
+
+@pytest.fixture(scope="module")
+def thm5_cases():
+    """1000 random linear main codes with the per-pair reference report."""
+    rng = np.random.default_rng(26)
+    cases = [_random_thm5_code(rng, t) for t in range(1000)]
+    return [(main, thm5_per_pair(main)) for main in cases]
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_thm5_matches_per_pair_reference(thm5_cases, monkeypatch, block):
+    # verdict, witness and pairs_scanned of the blocked scan against the
+    # per-pair loop, in blocks of the default size and of one row or so
+    if block is not None:
+        monkeypatch.setattr(latticeness, "_BLOCK_KEYS", block)
+    seen = set()
+    for main, ref in thm5_cases:
+        got = thm5_check(main)
+        assert (got.verdict, got.witness, got.pairs_scanned, got.detail) == (
+            ref.verdict,
+            ref.witness,
+            ref.pairs_scanned,
+            ref.detail,
+        )
+        wide = main.n * main.L > 64
+        seen.add((isinstance(main.inner, BinaryCode), wide, got.verdict))
+        seen.add(("k = 0", len(main.generators()) == 0))
+        seen.add(("late", got.verdict == NOT_LATTICE and got.pairs_scanned > 10))
+    words, rows = True, False
+    assert {(form, False, v) for form in (words, rows) for v in (LATTICE, NOT_LATTICE)} <= seen
+    assert {(rows, True, LATTICE), (rows, True, NOT_LATTICE), ("k = 0", True), ("late", True)} <= seen
+
+
+def test_thm5_matches_per_pair_reference_on_leech_and_a_variant():
+    rng = np.random.default_rng(71)
+    ones = (1 << 24) - 1
+    level_two = random_linear_code(rng, 24, 12)
+    rows = [ones | (1 << 48)] + [g << 24 for g in level_two.basis()] + [0b11 << (48 + j) for j in range(23)]
+    for main in (catalog.leech_main_code(), MainCode.from_generators(rows, n=24, L=3)):
+        got, ref = thm5_check(main), thm5_per_pair(main)
+        assert (got.verdict, got.witness, got.pairs_scanned, got.detail) == (
+            ref.verdict,
+            ref.witness,
+            ref.pairs_scanned,
+            ref.detail,
+        )
 
 
 def test_thm5_matches_thm1_on_product_codes():
@@ -765,19 +839,41 @@ def test_brute_oracle_decides_lattices_past_the_pair_budget(dn18_plus):
         assert peak < 64 * len(P)
 
 
+def _assert_brute_witness(P, report):
+    a, b, diff = (report.witness[key] for key in ("a", "b", "difference"))
+    assert P.has_rep(tuple(a)) and P.has_rep(tuple(b))
+    assert diff == [(x - y) % P.q for x, y in zip(a, b)] and not P.has_rep(tuple(diff))
+
+
 def test_brute_oracle_past_the_pair_budget_without_a_lattice(dn18_plus):
-    # one rep moved off the lattice: only the m^2 scan finds a witness, and
-    # the budget refuses it; with zero moved away no scan is needed
+    # past the budget a non-lattice reports the pair the span test met,
+    # which re-derives; with zero moved away no test is needed, and a set
+    # too wide to pack still refuses the m^2 scan
     P = dn18_plus[1]
     for row, moved_to in ((-1, 1), (0, 1)):
         reps = P.array.copy()
         reps[row, 0] = moved_to
         assert not P.has_rep(tuple(reps[row].tolist()))
         moved = PeriodicConstellation(n=P.n, L=P.L, q=P.q, reps=reps)
+        report = brute_closure_oracle(moved)
+        assert report.verdict == NOT_LATTICE
         if row:
-            with pytest.raises(BudgetExceededError):
-                brute_closure_oracle(moved)
+            _assert_brute_witness(moved, report)
+            assert 0 < report.pairs_scanned < 64 * len(moved)
         else:
-            report = brute_closure_oracle(moved)
-            assert report.verdict == NOT_LATTICE
             assert report.witness == {"missing_zero": True} and report.pairs_scanned == 0
+    rng = np.random.default_rng(26)
+    seen = 0
+    for t in range(300):
+        Q = _random_rep_set(rng, t % 5, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        within = brute_closure_oracle(Q)
+        if within.verdict == LATTICE or "missing_zero" in within.witness:
+            continue
+        seen += 1
+        past = brute_closure_oracle(Q, budget=len(Q) ** 2 - 1)
+        assert past.verdict == NOT_LATTICE
+        _assert_brute_witness(Q, past)
+    assert seen >= 100
+    wide = PeriodicConstellation(n=33, L=2, q=4, reps=((0,) * 33, (1,) * 33))
+    with pytest.raises(BudgetExceededError):
+        brute_closure_oracle(wide, budget=3)
