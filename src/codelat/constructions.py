@@ -28,6 +28,7 @@ from .gf2 import (
     gf2_reduce_basis,
     gf2_residual,
     is_nested,
+    span_doubling,
 )
 
 MAX_LEVELS = 15  # keeps every coordinate value within 16 bits
@@ -40,12 +41,12 @@ class MainCode:
 
     ``MainCode(inner, n, L)`` holds the words: ``inner`` is a ``BinaryCode``
     of length n*L <= 64.  ``MainCode.from_generators(rows, n, L)`` holds a
-    linear code by its reduced generator rows alone: ``inner`` is the tuple
-    of those rows, for any n*L and 2^k words, and words are built only
-    when ``levels()`` asks for them, under the enumeration cap.  Membership
-    (``member_mask`` of a level array, ``contains`` of one word), the
-    generators and the projection and zero-antiprojection bases answer in
-    both forms.
+    linear code by its generator rows alone, in reduced row echelon form:
+    ``inner`` is the tuple of those rows, for any n*L and 2^k words, and
+    words are built only when ``levels()`` asks for them, under the
+    enumeration cap.  Membership (``member_mask`` of a level array,
+    ``contains`` of one word), the generators, the sorted ``levels()`` and
+    the projection and zero-antiprojection bases are the same in both forms.
     """
 
     inner: BinaryCode | tuple[int, ...]
@@ -120,7 +121,8 @@ class MainCode:
         return ~rest.any(axis=0)
 
     def generators(self) -> list[int]:
-        """A basis, leading bits descending (the rows of the generator form)."""
+        """The reduced row echelon form (the rows of the generator form), the
+        same list in both forms."""
         return self.inner.basis() if isinstance(self.inner, BinaryCode) else list(self.inner)
 
     def projection_bases(self) -> list[list[int]]:
@@ -160,19 +162,17 @@ class MainCode:
 
     def levels(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
         """(L, |C|) uint64 array: row i holds the level-(i+1) word of each
-        codeword, in canonical word order (for the generator form, the
-        XOR-doubling order of its rows, built only while |C| <= ``cap``)."""
+        codeword, in sorted word order (the generator form builds it only
+        while |C| <= ``cap``, by XOR doubling of its rows, leading bits
+        ascending)."""
         if isinstance(self.inner, BinaryCode):
             shifts = np.arange(self.L, dtype=np.uint64)[:, None] * np.uint64(self.n)
             return (self.inner.words >> shifts) & np.uint64((1 << self.n) - 1)
         size = self.num_words
         if size > cap:
             raise EnumerationCapError(f"main code has {size} words, above the cap {cap}", size)
-        out = np.zeros((self.L, size), dtype=np.uint64)
-        for j, row in enumerate(self.inner):
-            parts = np.array(self.split(row), dtype=np.uint64)[:, None]
-            np.bitwise_xor(out[:, : 1 << j], parts, out=out[:, 1 << j : 2 << j])
-        return out
+        rows = [self.split(r) for r in reversed(self.inner)]
+        return span_doubling(np.array(rows, dtype=np.uint64).reshape(-1, self.L))
 
 
 @dataclass(frozen=True)
@@ -386,19 +386,16 @@ def _greedy_chain_basis(codes: Sequence[BinaryCode]) -> tuple[list[int], list[in
     basis, so this scan is part of its definition here.  Completing the
     basis beyond k_L is unnecessary: the expansion never uses those vectors.
 
-    Only the rows of a level's fully reduced basis can be kept: any other
-    word w of the level is the reduced row r with w's leading bit plus
-    words below r, all smaller than w.  So only those rows are scanned, in
-    ascending order, O(k) of them for a linear code.
+    Only the rows of a level's reduced row echelon form (``basis()``) can
+    be kept: any other word w of the level is the row r with w's leading
+    bit plus words below r, all smaller than w.  So only those rows are
+    scanned, in ascending order, O(k) of them for a linear code.
     """
     basis: list[int] = []
     reduced: list[int] = []
     ks: list[int] = []
     for code in codes:
-        rows: list[int] = []  # the level's fully reduced basis, ascending
-        for r in sorted(code.basis()):
-            rows.append(gf2_residual(r, rows[::-1]))
-        for w in rows:
+        for w in reversed(code.basis()):
             cur = gf2_residual(w, reduced)
             if cur:
                 basis.append(w)
@@ -440,28 +437,15 @@ def construction_d(
         )
 
     q = 1 << L
-    basis_rows = _bit_matrix(basis, n)
-    # Per-level integer spans of the first k_i basis vectors, grown
-    # incrementally.
-    level_span = np.zeros((1, n), dtype=np.int32)
-    spans: list[np.ndarray] = []
-    used = 0
-    for k in ks:
-        for j in range(used, k):
-            level_span = np.concatenate(
-                [level_span, level_span + basis_rows[j][None, :]], axis=0
-            )
-        used = k
-        spans.append(level_span)
-    acc = np.zeros((1, n), dtype=np.int64)
-    for i, span in enumerate(spans):
-        acc = (acc[:, None, :] + (span.astype(np.int64) << i)[None, :, :]).reshape(
-            -1, n
-        )
+    # the integer subset sums of 2^(i-1) * b_j over levels i and j <= k_i
+    basis_rows = _bit_matrix(basis, n).astype(np.int64)
+    scaled = np.concatenate([basis_rows[:k] << i for i, k in enumerate(ks)])
+    sums = span_doubling(scaled, add=np.add)
+    sums &= q - 1
     # no two expansions meet mod q: mod 2 the level-1 sum fixes its 0/1
     # combination of independent basis vectors, then mod 4 the level-2 sum,
     # and so on; the constellation sorts the reps (and would reject a repeat)
-    return PeriodicConstellation(n=n, L=L, q=q, reps=np.mod(acc, q), source="D")
+    return PeriodicConstellation(n=n, L=L, q=q, reps=sums.T, source="D")
 
 
 def projection_codes(main: MainCode) -> list[BinaryCode]:

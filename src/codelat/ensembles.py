@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constructions import MainCode
-from .gf2 import BinaryCode, enumerate_from_generator
+from .gf2 import BinaryCode
 
 GVB_LEVEL_EPS = 1e-15
 
@@ -67,16 +67,16 @@ def _random_words(rng: np.random.Generator, count: int, nbits: int) -> list[int]
 def sample_main_code(cfg: EnsembleConfig) -> MainCode:
     """Draw a main code; deterministic for a fixed config.
 
-    Nonlinear mode keeps resampling colliding words so the code has
-    exactly M distinct words (the coin-flip ensemble allows duplicates,
-    but distinct words are needed for the |reps| = M accounting).
+    Linear mode holds the code by its random generator rows, so nothing is
+    enumerated and any n*L works.  Nonlinear mode keeps resampling
+    colliding words so the code has exactly M distinct words (the coin-flip
+    ensemble allows duplicates, but distinct words are needed for the
+    |reps| = M accounting).
     """
     nl = cfg.n * cfg.L
     rng = _rng(cfg, stream=0)
     if cfg.mode == "linear-random-generator":
-        cols = _random_words(rng, cfg.k, nl)
-        code = enumerate_from_generator(cols, n=nl)
-        return MainCode(code, cfg.n, cfg.L)
+        return MainCode.from_generators(_random_words(rng, cfg.k, nl), cfg.n, cfg.L)
     words: set[int] = set()
     target = cfg.num_words
     if target > 1 << nl:

@@ -132,14 +132,33 @@ def gf2_residual(word: int, basis: Sequence[int]) -> int:
 
 
 def gf2_reduce_basis(vectors: Iterable[int]) -> list[int]:
-    """Extract a row-reduced independent basis from int-packed vectors."""
-    basis: list[int] = []  # kept with strictly decreasing leading bits
+    """The reduced row echelon form of the span of int-packed vectors.
+
+    Rows go with leading bits strictly decreasing, and no row holds another
+    row's leading bit, so the list is unique to the span: for a linear
+    code it is ``BinaryCode.basis()``.
+    """
+    basis: list[int] = []
     for v in vectors:
-        cur = gf2_residual(v, basis)
+        cur = gf2_residual(v, basis)  # holds no leading bit of the basis
         if cur:
+            top = 1 << (cur.bit_length() - 1)
+            basis = [b ^ cur if b & top else b for b in basis]
             basis.append(cur)
             basis.sort(reverse=True)
     return basis
+
+
+def span_doubling(rows: np.ndarray, add=np.bitwise_xor) -> np.ndarray:
+    """The 2^k subset sums of the k ``rows`` (a (k, ...) array), along a new
+    last axis: entry i sums the rows j with bit j of i set, built by
+    doubling, so row 0 alternates fastest.  ``add`` is the sum (XOR for a
+    GF(2) span, ``np.add`` for integer combinations)."""
+    rows = np.asarray(rows)
+    out = np.zeros(rows.shape[1:] + (1 << len(rows),), dtype=rows.dtype)
+    for j, row in enumerate(rows):
+        add(out[..., : 1 << j], row[..., None], out=out[..., 1 << j : 2 << j])
+    return out
 
 
 class BinaryCode:
@@ -173,8 +192,8 @@ class BinaryCode:
 
     def _verify_linearity(self) -> bool:
         """One doubling pass: a linear code's sorted words are the XOR-doubling
-        enumeration of its fully reduced basis ``words[1 << j]``, and a set of
-        2^k distinct words that this enumeration reproduces is that span.
+        enumeration of its reduced row echelon form ``words[1 << j]``, and a
+        set of 2^k distinct words that this enumeration reproduces is that span.
         Compared in slices of ``_VERIFY_SLICE`` words, so the temporaries
         stay small whatever the size."""
         size, words = len(self), self.words
@@ -244,11 +263,11 @@ class BinaryCode:
         return f"BinaryCode(n={self.n}, size={len(self)}, linear={self.linear})"
 
     def basis(self) -> list[int]:
-        """A basis of the span, leading bits descending.
+        """The reduced row echelon form of the span (``gf2_reduce_basis``).
 
-        For a linear code, the fully reduced basis read off the sorted words
-        in O(k): they enumerate its span by XOR doubling, so ``words[1 << j]``
-        is its j-th word.  Else one reduced from all the words.
+        For a linear code it is read off the sorted words in O(k): they
+        enumerate its span by XOR doubling, so ``words[1 << j]`` is its j-th
+        row.  Else it is reduced from all the words.
         """
         if self.linear:
             k = len(self).bit_length() - 1
@@ -294,16 +313,9 @@ def enumerate_from_generator(
             f"generator spans 2^{len(basis)} = {size} words, above the cap {cap}",
             size,
         )
-    # Fully reduce the basis, leading bits ascending: no basis word then has
-    # another's leading bit set, so XOR doubling emits the span in sorted order.
-    reduced: list[int] = []
-    for b in reversed(basis):
-        for r in reduced:
-            b = min(b, b ^ r)
-        reduced.append(b)
-    words = np.zeros(size, dtype=np.uint64)
-    for j, b in enumerate(reduced):
-        np.bitwise_xor(words[: 1 << j], np.uint64(b), out=words[1 << j : 2 << j])
+    # no row holds another's leading bit, so XOR doubling of the rows,
+    # leading bits ascending, emits the span in sorted order
+    words = span_doubling(np.array(basis[::-1], dtype=np.uint64))
     return BinaryCode(n, words)
 
 

@@ -107,7 +107,7 @@ def brute_closure_oracle(
         if packed:
             first = _first_gap_packed(keys, q**n, high)
         else:
-            first = _first_gap_rows(constellation, reps)
+            first = _first_gap_rows(reps, q)
         if first is None:
             return LatticenessReport(verdict=LATTICE, method="brute", pairs_scanned=m * m)
         gap = (*first, (first[0] + 1) * m)
@@ -212,15 +212,17 @@ def _first_gap_packed(keys: np.ndarray, size: int, high) -> tuple[int, int] | No
     return None
 
 
-def _first_gap_rows(
-    constellation: PeriodicConstellation, reps: np.ndarray
-) -> tuple[int, int] | None:
-    """``_first_gap_packed`` for reps too wide to pack: ``has_rep`` row by row."""
+def _first_gap_rows(reps: np.ndarray, q: int) -> tuple[int, int] | None:
+    """``_first_gap_packed`` for reps too wide to pack: each row's m
+    differences are looked up at once among the reps' sorted byte-string
+    keys (sorted by bytes, not in rep order; only membership is asked)."""
+    row = np.dtype((np.void, reps.itemsize * reps.shape[1]))
+    keys = np.sort(reps.view(row).ravel())
     for i in range(len(reps)):
-        diffs = np.mod(reps[i] - reps, constellation.q).tolist()
-        for j, d in enumerate(diffs):
-            if not constellation.has_rep(tuple(d)):
-                return i, j
+        diffs = np.mod(reps[i] - reps, q).view(row).ravel()
+        ok = keys[np.minimum(keys.searchsorted(diffs), len(keys) - 1)] == diffs
+        if not ok.all():
+            return i, int(np.argmin(ok))
     return None
 
 

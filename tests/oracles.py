@@ -7,6 +7,7 @@ library's centered-residue and convolution shortcuts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -21,6 +22,7 @@ from codelat.constructions import (
     MainCode,
     PeriodicConstellation,
     _bit_matrix,
+    _greedy_chain_basis,
     projection_codes,
     rep_keys,
 )
@@ -233,6 +235,40 @@ def oracle_greedy_chain_basis(codes: list[BinaryCode]) -> tuple[list[int], list[
                 reduced.append(cur)
         ks.append(len(basis))
     return basis, ks
+
+
+def oracle_subset_sums(rows: np.ndarray, op) -> np.ndarray:
+    """Entry i (on a new last axis): the ``op``-sum of the rows j with bit j
+    of i set, each subset summed on its own from zero."""
+    zero = np.zeros(rows.shape[1:], dtype=rows.dtype)
+    sums = [
+        functools.reduce(op, itertools.compress(rows, [(i >> j) & 1 for j in range(len(rows))]), zero)
+        for i in range(1 << len(rows))
+    ]
+    return np.stack(sums, axis=-1)
+
+
+def construction_d_by_concatenation(codes: Sequence[BinaryCode]) -> PeriodicConstellation:
+    """Construction D expanded level by level: the integer span of each
+    level's first k_i chain-basis vectors grown by concatenation, then one
+    outer sum per level with weight 2^(i-1), reduced mod q.  The chain basis
+    is the library's (checked against ``oracle_greedy_chain_basis``)."""
+    basis, ks = _greedy_chain_basis(codes)
+    n, L = codes[0].n, len(codes)
+    q = 1 << L
+    basis_rows = _bit_matrix(basis, n)
+    level_span = np.zeros((1, n), dtype=np.int32)
+    spans: list[np.ndarray] = []
+    used = 0
+    for k in ks:
+        for j in range(used, k):
+            level_span = np.concatenate([level_span, level_span + basis_rows[j][None, :]], axis=0)
+        used = k
+        spans.append(level_span)
+    acc = np.zeros((1, n), dtype=np.int64)
+    for i, span in enumerate(spans):
+        acc = (acc[:, None, :] + (span.astype(np.int64) << i)[None, :, :]).reshape(-1, n)
+    return PeriodicConstellation(n=n, L=L, q=q, reps=np.mod(acc, q), source="D")
 
 
 def oracle_product_words(level_words: list[list[int]], n: int) -> set[int]:

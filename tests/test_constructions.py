@@ -30,6 +30,7 @@ from codelat.gf2 import BinaryCode, BitWord, EnumerationCapError, enumerate_from
 from codelat.latticeness import LATTICE, NOT_LATTICE, brute_closure_oracle, thm1_check, thm5_check
 from codelat.packing import packing_report
 from oracles import (
+    construction_d_by_concatenation,
     generator_twin,
     lift_word_to_point,
     oracle_antiprojection_set,
@@ -209,6 +210,20 @@ def test_construction_d_reps_are_the_sorted_expansions():
             points = {tuple((p + (s << i)) % q for p, s in zip(pt, sm)) for pt in points for sm in sums}
         assert construction_d(codes).reps == tuple(sorted(points))
         assert len(points) == 1 << sum(chain)
+
+
+def test_construction_d_matches_the_concatenated_expansion():
+    # random nested chains, L = 1..4, levels of rank 0 included, and D_18^+
+    rng = np.random.default_rng(197)
+    for trial in range(120):
+        n, L = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        gens = random_words(rng, n, n)
+        ks = sorted(int(k) for k in rng.integers(0, min(n, 12 // L) + 1, size=L))
+        ks[0] = 0 if trial % 4 == 0 else ks[0]
+        codes = [enumerate_from_generator(gens[:k], n=n) for k in ks]
+        assert construction_d(codes) == construction_d_by_concatenation(codes)
+    codes = list(catalog.dn_plus(18)[0])
+    assert construction_d(codes) == construction_d_by_concatenation(codes)
 
 
 def test_projection_codes_examples():

@@ -136,8 +136,11 @@ def test_sample_linear_mode_rank_reported_by_size():
     main = sample_main_code(cfg)
     # k = ceil(4 * 0.99) = 4 requested columns; realized rank = log2 |C|
     assert cfg.k == 4
-    assert len(main) == 1 << main.inner.rank()
-    assert main.inner.linear is True
+    assert main.linear is True
+    assert len(main) == 1 << len(main.generators())
+    # held by its rows: past n*L = 64 nothing is enumerated
+    wide = sample_main_code(EnsembleConfig(n=24, L=3, rate=0.5, mode=cfg.mode, seed=7))
+    assert wide.linear is True and len(wide) == 1 << len(wide.generators()) <= 1 << 36
 
 
 def test_scaled_point_density():

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from codelat.gf2 import (
     is_nested,
     min_hamming_distance,
     parse_code_text,
+    span_doubling,
 )
 from codelat.latticeness import LATTICE, NOT_LATTICE, thm1_check
 from oracles import (
@@ -26,6 +28,7 @@ from oracles import (
     format_code_file,
     oracle_linearity,
     oracle_pairwise_min_hamming,
+    oracle_subset_sums,
     random_linear_code,
     random_words,
 )
@@ -200,6 +203,37 @@ def test_basis_read_off_linear_words_matches_reduction():
     words = random_linear_code(rng, 20, 13).words
     code = BinaryCode(20, words)
     assert code.linear is True and code.basis() == gf2_reduce_basis(words.tolist())
+
+
+def test_reduce_basis_is_the_reduced_row_echelon_form():
+    # partial reduction would keep 110; the RREF clears its bit 1
+    assert gf2_reduce_basis([0b110, 0b011]) == [0b101, 0b011]
+    rng = np.random.default_rng(191)
+    for trial in range(300):
+        n = int(rng.integers(1, 41))
+        cols = random_words(rng, int(rng.integers(0, 12)) if trial else 0, n)
+        basis = gf2_reduce_basis(cols)
+        tops = [1 << (b.bit_length() - 1) for b in basis]
+        assert tops == sorted(set(tops), reverse=True)
+        assert all(b & t == 0 for b in basis for t in tops if t != 1 << (b.bit_length() - 1))
+        # a shuffled copy with each row plus another, and a dependent row
+        mixed = [cols[i] for i in rng.permutation(len(cols))]
+        for i in range(1, len(mixed)):
+            mixed[i] ^= mixed[int(rng.integers(0, i))]
+        mixed += [mixed[0] ^ mixed[-1]] if mixed else []
+        assert gf2_reduce_basis(mixed) == basis
+        assert enumerate_from_generator(cols, n=n).basis() == basis
+
+
+@pytest.mark.parametrize("add, op", [(np.bitwise_xor, operator.xor), (np.add, operator.add)])
+def test_span_doubling_matches_subset_sum_oracle(add, op):
+    rng = np.random.default_rng(193)
+    for k in range(8):
+        for shape in ((k,), (k, 3)):
+            rows = rng.integers(0, 1 << 40, size=shape, dtype=np.int64)
+            got = span_doubling(rows, add=add)
+            assert got.shape == shape[1:] + (1 << k,) and got.dtype == rows.dtype
+            assert np.array_equal(got, oracle_subset_sums(rows, op))
 
 
 def test_linearity_flag_matches_rank_oracle():

@@ -548,6 +548,27 @@ def test_generator_form_deciders_match_word_form():
     assert min(verdicts.values()) >= 30
 
 
+def test_words_and_generator_twins_answer_alike():
+    # a linear main code from random generator columns, held by its words
+    # and by those columns (n*L <= 64, k = 0 included): the same generators,
+    # the same sorted levels() and the same whole thm5 report
+    rng = np.random.default_rng(199)
+    verdicts = {LATTICE: 0, NOT_LATTICE: 0}
+    for trial in range(400):
+        L = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 7))
+        k = 0 if trial < 5 else int(rng.integers(0, min(n * L, 10) + 1))
+        cols = random_words(rng, k, n * L)
+        main = MainCode(enumerate_from_generator(cols, n=n * L), n, L)
+        twin = MainCode.from_generators(cols, n, L)
+        assert twin.generators() == main.generators()
+        assert np.array_equal(twin.levels(), main.levels())
+        report = thm5_check(twin)
+        assert report.as_json() == thm5_check(main).as_json()
+        verdicts[report.verdict] += 1
+    assert min(verdicts.values()) >= 40
+
+
 def test_thm4_lattice_implies_thm5_lattice():
     rng = np.random.default_rng(59)
     hits = 0
@@ -718,6 +739,31 @@ def test_brute_oracle_at_key_width_matches_row_loop():
     ]
     verdicts = set()
     for P in cases:
+        got, ref = brute_closure_oracle(P), brute_rows_oracle(P)
+        assert (got.verdict, got.witness, got.pairs_scanned) == (
+            ref.verdict,
+            ref.witness,
+            ref.pairs_scanned,
+        )
+        verdicts.add(got.verdict)
+    assert verdicts == {LATTICE, NOT_LATTICE}
+
+
+def test_brute_oracle_past_key_width_matches_row_loop():
+    # n*L > 64: each row's differences looked up among byte-string keys,
+    # against has_rep per difference, on lattices and non-lattices
+    rng = np.random.default_rng(66)
+    cases = []
+    for n, L in ((33, 2), (22, 3), (17, 4)):
+        chain = [random_linear_code(rng, n, k) for k in (1, 3)]
+        chain[1] = enumerate_from_generator(chain[0].basis() + chain[1].basis(), n=n)
+        cases.append(construction_d(chain[:1] * (L - 1) + chain[1:]))
+        cases.append(construction_cstar(MainCode.from_generators(random_words(rng, 3, 64), n, L)))
+        cases.append(construction_c([random_linear_code(rng, n, 2) for _ in range(L)]))
+        cases.append(_symmetric_set(rng, n, L, 3, 1))
+    verdicts = set()
+    for P in cases:
+        assert P.n * P.L > 64
         got, ref = brute_closure_oracle(P), brute_rows_oracle(P)
         assert (got.verdict, got.witness, got.pairs_scanned) == (
             ref.verdict,
